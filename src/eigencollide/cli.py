@@ -25,6 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import __version__
 from .estimate import box_dim, collision_prob
@@ -51,7 +52,14 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _default_threads() -> int:
-    return int(os.environ.get("EIGENCOLLIDE_THREADS", "1"))
+    text = os.environ.get("EIGENCOLLIDE_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError("EIGENCOLLIDE_THREADS must be a positive integer, got %r" % text)
+    return threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,7 +128,8 @@ def _load_config(args, require=True) -> ExperimentConfig | None:
         if require:
             raise ConfigError("this command needs --config")
         return None
-    cfg = parse_config(Path(args.config).read_text())
+    text = Path(args.config).read_text()
+    cfg = parse_config(text)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -139,7 +148,9 @@ def _load_config(args, require=True) -> ExperimentConfig | None:
         overrides["kappa"] = args.kappa
     if overrides:
         cfg = replace(cfg, **overrides)
-    if cfg.threads == 1 and args.threads is None:
+    # The environment default applies only where neither the config nor
+    # --threads sets a thread count; parse_config has accepted the mapping.
+    if getattr(args, "threads", None) is None and "threads" not in yaml.safe_load(text):
         cfg = replace(cfg, threads=_default_threads())
     return cfg
 

@@ -321,9 +321,11 @@ def fractional_drift_coeffs(H, t: float, state: ParticleState) -> np.ndarray:
 
 def fractional_wishart_drift_coeffs(H, t: float, state: ParticleState) -> np.ndarray:
     """Drift vector of the fractional Gram-spectrum system:
-    2H n + 2H t^{2H-1} sum_{j != i} (x_i + x_j)/(x_i - x_j).
+    2H t^{2H-1} (n + sum_{j != i} (x_i + x_j)/(x_i - x_j)).
 
-    Reduces to the Wishart drift at H = 1/2.
+    Reduces to the Wishart drift at H = 1/2.  The interaction sum cancels
+    over the particles, so the drifts sum to 2H d n t^{2H-1}, the time
+    derivative of E tr W(t) = d n t^{2H}.
     """
     h = _as_exponent(H)
     if not 0.5 <= h < 1:
@@ -339,4 +341,4 @@ def fractional_wishart_drift_coeffs(H, t: float, state: ParticleState) -> np.nda
     diff = x[:, None] - x[None, :]
     diff[np.arange(d), np.arange(d)] = np.inf
     interaction = ((x[:, None] + x[None, :]) / diff).sum(axis=-1)
-    return 2.0 * h * state.n + 2.0 * h * t ** (2.0 * h - 1.0) * interaction
+    return (2.0 * h * t ** (2.0 * h - 1.0)) * (state.n + interaction)

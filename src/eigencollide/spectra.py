@@ -1,9 +1,14 @@
 """Ordered spectra and the distance-to-collision statistic.
 
-The eigensolver is cyclic Jacobi with complex-capable rotations, batched
-over leading axes so a whole grid of small matrices is processed at numpy
-speed.  Supported regime is d <= 64; the paper-scale matrices are tiny and
-Jacobi is easy to make deterministic.
+Spectra are batched over leading axes, and the method depends only on the
+matrix shape.  2x2 self-adjoint matrices use the closed form mid +- r with
+mid = (a + c)/2 and r = hypot((a - c)/2, |b|), exact on ties.  2xn singular
+values take sigma_max from the 2x2 Gram matrix M M* and sigma_min from the
+2x2 minors of M (Cauchy-Binet), so small values keep relative accuracy.
+Everything else goes to batched LAPACK `eigvalsh`; singular values with
+d1 >= 3 go through the Gram matrix and lose values below about 1e-8 * |M|.
+The supported range is d <= 64.  Non-finite matrices and LAPACK failures
+raise `NumericalError` naming the offending batch indices.
 
 `pattern_gap` measures how far an ordered spectrum is from a prescribed
 multiple collision: the minimum over disjoint index blocks of the given
@@ -35,9 +40,7 @@ __all__ = [
     "spectral_path",
 ]
 
-MAX_JACOBI_DIM = 64
-_MAX_SWEEPS = 30
-_OFF_TOL = 1e-12
+MAX_DIM = 64
 
 
 class NumericalError(RuntimeError):
@@ -67,113 +70,105 @@ class GapStatistic:
     witness: tuple[tuple[int, ...], ...]
 
 
-def _jacobi_rotate(a, vecs, p, q):
-    """One batched rotation annihilating the (p, q) entries of `a`."""
-    apq = a[:, p, q]
-    r = np.abs(apq)
-    active = r > 0.0
-    safe_r = np.where(active, r, 1.0)
-    if np.iscomplexobj(a):
-        phase = np.where(active, apq / safe_r, 1.0 + 0j)
-    else:
-        phase = np.where(apq < 0, -1.0, 1.0)
-    # Overflow in tau*tau is benign: t underflows to 0 and the rotation
-    # degenerates to the identity, the correct limit for a negligible apq.
-    with np.errstate(over="ignore"):
-        tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe_r)
-        sign = np.where(tau < 0, -1.0, 1.0)
-        t = sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = np.where(active, t * c, 0.0)
-    c = np.where(active, c, 1.0)
-
-    # a <- J* a J with J embedding [[c, s], [-s e^{-i phi}, c e^{-i phi}]]
-    # at rows/columns (p, q).
-    cphase = np.conj(phase)
-    col_p = a[:, :, p].copy()
-    col_q = a[:, :, q]
-    a[:, :, p] = c[:, None] * col_p - (s * cphase)[:, None] * col_q
-    a[:, :, q] = s[:, None] * col_p + (c * cphase)[:, None] * col_q
-    row_p = a[:, p, :].copy()
-    row_q = a[:, q, :]
-    a[:, p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
-    a[:, q, :] = s[:, None] * row_p + (c * phase)[:, None] * row_q
-    if vecs is not None:
-        vcol_p = vecs[:, :, p].copy()
-        vcol_q = vecs[:, :, q]
-        vecs[:, :, p] = c[:, None] * vcol_p - (s * cphase)[:, None] * vcol_q
-        vecs[:, :, q] = s[:, None] * vcol_p + (c * cphase)[:, None] * vcol_q
+def _mid_radius(a, c, b_abs):
+    """Centre and half-spread of the spectrum of [[a, b], [conj b, c]];
+    halving first keeps finite input from overflowing."""
+    half_a, half_c = 0.5 * a, 0.5 * c
+    return half_a + half_c, np.hypot(half_a - half_c, b_abs)
 
 
-def _off_mass(a):
-    d = a.shape[-1]
-    sq = np.abs(a) ** 2
-    sq[:, np.arange(d), np.arange(d)] = 0.0
-    return np.sqrt(sq.sum(axis=(-2, -1)))
+def _sqnorm(x):
+    """Squared Euclidean norm along the last axis, real or complex."""
+    out = np.einsum("...i,...i->...", x.real, x.real)
+    if np.iscomplexobj(x):
+        out += np.einsum("...i,...i->...", x.imag, x.imag)
+    return out
 
 
-def _jacobi(mats, want_vectors=False):
-    arr = np.asarray(mats)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError("expected square matrices on the trailing axes")
-    d = arr.shape[-1]
-    if d > MAX_JACOBI_DIM:
-        raise ValueError("Jacobi solver supports d <= %d" % MAX_JACOBI_DIM)
-    batch_shape = arr.shape[:-2]
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    a = arr.reshape(-1, d, d).astype(dtype, copy=True)
-    vecs = None
-    if want_vectors:
-        vecs = np.zeros_like(a)
-        vecs[:, np.arange(d), np.arange(d)] = 1.0
+def _batch(arr: np.ndarray, rows: int) -> np.ndarray:
+    """Float64/complex128 form of (..., rows, cols) matrices, all finite."""
+    if rows > MAX_DIM:
+        raise ValueError("spectra are supported for d <= %d" % MAX_DIM)
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        bad = ~np.isfinite(arr.reshape((-1,) + arr.shape[-2:])).all(axis=(-2, -1))
+        raise NumericalError(
+            "non-finite entries in %d matrices" % bad.sum(), batch_indices=np.nonzero(bad)[0]
+        )
+    return arr
 
-    norm = np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
-    threshold = _OFF_TOL * norm
-    converged = _off_mass(a) <= threshold
-    sweeps = 0
-    while not converged.all():
-        if sweeps >= _MAX_SWEEPS:
-            bad = np.nonzero(~converged)[0]
-            raise NumericalError(
-                "Jacobi did not converge in %d sweeps for %d matrices"
-                % (_MAX_SWEEPS, bad.size),
-                batch_indices=bad,
-            )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                _jacobi_rotate(a, vecs, p, q)
-        sweeps += 1
-        converged = _off_mass(a) <= threshold
 
-    w = a[:, np.arange(d), np.arange(d)].real
-    order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    if want_vectors:
-        vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-        return w.reshape(batch_shape + (d,)), vecs.reshape(batch_shape + (d, d))
-    return w.reshape(batch_shape + (d,))
+def _nonconverged(flat, start=0) -> list[int]:
+    """Batch indices on which LAPACK fails, found by bisecting the batch."""
+    try:
+        np.linalg.eigvalsh(flat)
+        return []
+    except np.linalg.LinAlgError:
+        if len(flat) == 1:
+            return [start]
+        half = len(flat) // 2
+        return _nonconverged(flat[:half], start) + _nonconverged(flat[half:], start + half)
+
+
+def _eigvalsh(arr) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(arr)
+    except np.linalg.LinAlgError:
+        bad = _nonconverged(arr.reshape((-1,) + arr.shape[-2:]))
+        raise NumericalError(
+            "LAPACK eigvalsh did not converge for %d matrices" % len(bad),
+            batch_indices=bad,
+        ) from None
 
 
 def eigvals_selfadjoint(mats) -> np.ndarray:
     """Ascending eigenvalues of self-adjoint matrices, batched.
 
-    `mats` has shape (..., d, d), real symmetric or complex Hermitian; the
-    result has shape (..., d).
+    `mats` has shape (..., d, d), real symmetric or complex Hermitian, with
+    d <= MAX_DIM; the result has shape (..., d).  Non-finite matrices raise
+    `NumericalError` naming their batch indices.
     """
-    return _jacobi(mats, want_vectors=False)
+    arr = np.asarray(mats)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError("expected square matrices on the trailing axes")
+    arr = _batch(arr, arr.shape[-1])
+    if arr.shape[-1] != 2:
+        return _eigvalsh(arr)
+    mid, r = _mid_radius(arr[..., 0, 0].real, arr[..., 1, 1].real, np.abs(arr[..., 1, 0]))
+    return np.stack([mid - r, mid + r], axis=-1)
 
 
 def singvals(mats) -> np.ndarray:
     """Ascending non-trivial singular values of (..., d1, d2) with d1 <= d2.
 
-    Square roots of the Gram spectrum M M*, clamped at zero.
+    For d1 = 2 the largest value comes from the 2x2 Gram matrix M M* in
+    closed form and the smallest from sigma_min * sigma_max = |det M M*|^(1/2),
+    the norm of the 2x2 minors of M (Cauchy-Binet), so small singular values
+    keep their relative accuracy.  For other d1 they are square roots of the
+    Gram spectrum, clamped at zero; values below about 1e-8 * |M| are lost
+    there to rounding in M M*.
     """
     arr = np.asarray(mats)
     if arr.ndim < 2 or arr.shape[-2] > arr.shape[-1]:
         raise ValueError("expected d1 <= d2 on the trailing axes")
-    gram = arr @ np.conj(arr).swapaxes(-1, -2)
-    w = _jacobi(gram, want_vectors=False)
-    return np.sqrt(np.clip(w, 0.0, None))
+    arr = _batch(arr, arr.shape[-2])
+    if arr.shape[-2] != 2:
+        w = _eigvalsh(arr @ np.conj(arr).swapaxes(-1, -2))
+        return np.sqrt(np.clip(w, 0.0, None))
+    top, bottom = arr[..., 0, :], arr[..., 1, :]
+    mid, r = _mid_radius(
+        _sqnorm(top),
+        _sqnorm(bottom),
+        np.abs(np.einsum("...i,...i->...", top, np.conj(bottom))),
+    )
+    big = np.sqrt(mid + r)
+    # Minors of M / sigma_max are at most 1, so their squares cannot overflow.
+    u = arr / np.where(big > 0, big, 1.0)[..., None, None]
+    area = np.zeros_like(big)
+    for j in range(1, arr.shape[-1]):
+        minors = u[..., 0, :j] * u[..., 1, j, None] - u[..., 0, j, None] * u[..., 1, :j]
+        area += _sqnorm(minors)
+    return np.stack([np.minimum(big * np.sqrt(area), big), big], axis=-1)
 
 
 def _check_sorted(values: np.ndarray) -> None:

@@ -1,5 +1,7 @@
 """Estimator checks on synthetic sets and small Monte Carlo runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from eigencollide.estimate import (
     wilson_interval,
 )
 from eigencollide.gfield import KernelSpec, TimeGrid, sample_fbm_1d
-from eigencollide.matfield import EnsembleSpec
+from eigencollide.matfield import EnsembleSpec, sample_ensemble
 from eigencollide.spectra import pattern_gap_values
 from eigencollide.theory import CollisionPattern, HurstVector, SpectralKind, Verdict
 
@@ -57,6 +59,23 @@ def test_collision_prob_nested_and_deterministic():
     b = collision_prob(ensemble(["1/2"]), PAT2, RE, grid, ladder, 200, 5, threads=3)
     assert a == b  # worker count cannot matter
     assert a.hits[0] >= a.hits[1] >= a.hits[2]  # nested events
+
+
+def test_collision_prob_counts_nan_path_as_failed(monkeypatch):
+    def planted(spec, grid, seed, path_index=0):
+        path = sample_ensemble(spec, grid, seed, path_index)
+        if path_index != 7:
+            return path
+        values = path.values.copy()
+        values[3, 1, 0] = np.nan
+        return dataclasses.replace(path, values=values)
+
+    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", planted)
+    grid = TimeGrid.unit([8])
+    est = collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (1e9, 0.5), 100, 3)
+    assert est.n_failed == 1
+    assert est.hits[0] == 99
+    assert est.fractions[0] == 1.0
 
 
 def test_collision_prob_validates():

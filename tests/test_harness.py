@@ -272,6 +272,44 @@ def test_cli_threads_env_default(tmp_path, capsys, monkeypatch):
     assert payload["n_paths"] == 100
 
 
+def _captured_threads(monkeypatch):
+    seen = []
+
+    def fake(*args, threads=1, **kwargs):
+        seen.append(threads)
+        raise SystemExit(0)
+
+    monkeypatch.setattr("eigencollide.cli.collision_prob", fake)
+    return seen
+
+
+def test_cli_threads_config_wins_over_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("EIGENCOLLIDE_THREADS", "3")
+    seen = _captured_threads(monkeypatch)
+    explicit = tmp_path / "explicit.yaml"
+    explicit.write_text(MINIMAL + "threads: 1\n")
+    unset = tmp_path / "unset.yaml"
+    unset.write_text(MINIMAL)
+    for argv in (
+        ["collide-prob", "--config", str(explicit)],
+        ["collide-prob", "--config", str(unset)],
+        ["collide-prob", "--config", str(unset), "--threads", "2"],
+    ):
+        with pytest.raises(SystemExit):
+            cli(argv)
+    assert seen == [1, 3, 2]
+
+
+@pytest.mark.parametrize("value", ["two", "0", "1.5"])
+def test_cli_threads_env_bad_value_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("EIGENCOLLIDE_THREADS", value)
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL)
+    rc = cli(["collide-prob", "--config", str(cfg_file)])
+    assert rc == 2
+    assert "EIGENCOLLIDE_THREADS" in capsys.readouterr().err
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "bad.yaml"
     cfg_file.write_text(MINIMAL + "\nbogus: 1\n")

@@ -195,3 +195,19 @@ def test_fractional_wishart_drift_reduces():
     got = fractional_wishart_drift_coeffs("3/4", 1.0, s)
     # 2H n + 2H t^{2H-1} * interaction at t=1
     assert got == pytest.approx([1.5 * 3 + 1.5 * (-3.0), 1.5 * 3 + 1.5 * 3.0])
+
+
+def test_fractional_wishart_drift_time_dependence():
+    # Away from t = 1 the n term carries t^{2H-1} too: the drifts sum to
+    # d/dt E tr W(t) = 2H d n t^{2H-1}, the interaction sum cancelling.
+    s = state([1.0, 2.0], n=3)
+    got = fractional_wishart_drift_coeffs("3/4", 0.25, s)
+    factor = 1.5 * 0.25**0.5
+    assert got == pytest.approx([factor * (3 - 3.0), factor * (3 + 3.0)])
+    assert got.sum() == pytest.approx(1.5 * 2 * 3 * 0.25**0.5)
+    rng = np.random.default_rng(58)
+    for _ in range(20):
+        xs = np.sort(rng.uniform(0.1, 4.0, size=4))
+        t = rng.uniform(0.1, 3.0)
+        got = fractional_wishart_drift_coeffs("2/3", t, state(xs, n=5))
+        assert got.sum() == pytest.approx((4 / 3) * 4 * 5 * t ** (1 / 3), rel=1e-9)

@@ -8,6 +8,7 @@ import pytest
 from eigencollide.gfield import KernelSpec, TimeGrid
 from eigencollide.matfield import EnsembleSpec, sample_ensemble
 from eigencollide.spectra import (
+    NumericalError,
     eigvals_selfadjoint,
     pattern_gap,
     pattern_gap_values,
@@ -22,7 +23,7 @@ def charpoly_roots(m):
 
     Coefficients come from the Faddeev-LeVerrier trace recursion and the
     roots from the companion matrix, so nothing here shares code with the
-    rotation-based solver under test.
+    closed forms or the LAPACK solver under test.
     """
     d = m.shape[0]
     coeffs = [1.0]
@@ -88,6 +89,91 @@ def test_eigvals_rejects_oversize():
         eigvals_selfadjoint(np.eye(65))
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_eigvals_2x2_closed_form_against_oracles(complex_):
+    rng = np.random.default_rng(52)
+    mats = np.stack([rand_sym(rng, 2, complex_) for _ in range(200)])
+    got = eigvals_selfadjoint(mats)
+    assert np.abs(got - np.linalg.eigvalsh(mats)).max() < 1e-13
+    for m, w in zip(mats, got):
+        assert np.abs(w - charpoly_roots(m)).max() < 1e-12
+
+
+@pytest.mark.parametrize("b", [0.0, 0j])
+def test_eigvals_2x2_exact_ties(b):
+    m = np.array([[3.7, b], [np.conj(b), 3.7]])
+    w = eigvals_selfadjoint(m)
+    assert w[0] == w[1] == 3.7
+    assert pattern_gap(w, CollisionPattern((2,), 2)).value == 0.0
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_eigvals_2x2_large_offset(complex_):
+    # |mid| >> r makes the characteristic polynomial ill-conditioned, so the
+    # oracle gets the matrix back with the offset removed (exactly, by
+    # Sterbenz) and adds it to the roots.
+    rng = np.random.default_rng(53)
+    offset = 1e8
+    for _ in range(20):
+        m = rand_sym(rng, 2, complex_) + offset * np.eye(2)
+        scale = np.linalg.norm(m)
+        w = eigvals_selfadjoint(m)
+        assert np.abs(w - np.linalg.eigvalsh(m)).max() < 2e-15 * scale
+        want = charpoly_roots(m - offset * np.eye(2)) + offset
+        assert np.abs(w - want).max() < 2e-15 * scale
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_eigvals_2x2_extreme_scales(complex_, scale):
+    rng = np.random.default_rng(54)
+    for _ in range(20):
+        m = rand_sym(rng, 2, complex_)
+        w = eigvals_selfadjoint(scale * m)
+        norm = scale * np.linalg.norm(m)
+        assert np.all(np.isfinite(w))
+        assert np.abs(w - scale * eigvals_selfadjoint(m)).max() < 1e-14 * norm
+        assert np.abs(w - np.linalg.eigvalsh(scale * m)).max() < 1e-14 * norm
+        assert np.abs(w - charpoly_roots(scale * m)).max() < 1e-12 * norm
+
+
+def test_eigvals_2x2_near_overflow():
+    big = np.finfo(float).max
+    w = eigvals_selfadjoint(np.array([[big, 0.0], [0.0, -big]]))
+    assert list(w) == [-big, big]
+
+
+def test_eigvals_nonfinite_matrix_raises_with_index():
+    mats = np.stack([np.eye(3)] * 5)
+    mats[3, 1, 2] = np.nan
+    with pytest.raises(NumericalError) as err:
+        eigvals_selfadjoint(mats)
+    assert err.value.batch_indices == (3,)
+    mats = np.stack([np.eye(2)] * 5)
+    mats[1, 0, 0] = np.inf
+    with pytest.raises(NumericalError) as err:
+        eigvals_selfadjoint(mats)
+    assert err.value.batch_indices == (1,)
+
+
+def test_eigvals_lapack_failure_bisected_to_matrices(monkeypatch):
+    # LAPACK does not fail on finite input in practice, so stand in a solver
+    # that fails on every batch holding a marked matrix.
+    lapack = np.linalg.eigvalsh
+
+    def failing(a):
+        if np.any(a[..., 0, 0] == 7.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return lapack(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    mats = np.stack([np.eye(3)] * 11)
+    mats[[2, 9], 0, 0] = 7.0
+    with pytest.raises(NumericalError) as err:
+        eigvals_selfadjoint(mats)
+    assert err.value.batch_indices == (2, 9)
+
+
 # -- singular values ----------------------------------------------------
 
 
@@ -109,6 +195,45 @@ def test_singvals_both_gram_forms_agree():
 def test_singvals_requires_wide():
     with pytest.raises(ValueError):
         singvals(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_singvals_2xn_against_svd(complex_, n):
+    rng = np.random.default_rng(55)
+    mats = rng.standard_normal((100, 2, n))
+    if complex_:
+        mats = mats + 1j * rng.standard_normal((100, 2, n))
+    want = np.linalg.svd(mats, compute_uv=False)[..., ::-1]
+    assert np.abs(singvals(mats) - want).max() < 1e-13
+
+
+def _unitary(rng, n, complex_):
+    a = rng.standard_normal((n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(a)[0]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_singvals_2xn_small_value_keeps_relative_accuracy(complex_):
+    # The Gram route squares sigma = 1e-9 into rounding noise of M M*.
+    rng = np.random.default_rng(56)
+    for _ in range(20):
+        u, v = _unitary(rng, 2, complex_), _unitary(rng, 3, complex_)
+        m = u @ np.diag([1e-9, 1.0]) @ np.conj(v.T)[:2]
+        small, big = singvals(m)
+        assert small == pytest.approx(1e-9, rel=1e-6)
+        assert big == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_singvals_2xn_extreme_scales(scale):
+    rng = np.random.default_rng(57)
+    m = rng.standard_normal((10, 2, 3))
+    got = singvals(scale * m)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got / scale - singvals(m)).max() < 1e-14
 
 
 # -- pattern gap --------------------------------------------------------
@@ -252,6 +377,22 @@ def test_spectral_path_constant_matrix():
     path.values = vals
     sp = spectral_path(path, SpectralKind.REAL_EIGEN)
     assert np.allclose(sp.values, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("kind", [SpectralKind.REAL_EIGEN, SpectralKind.REAL_SINGULAR])
+def test_spectral_path_nan_names_grid_coordinate(kind):
+    grid = TimeGrid.unit([4, 5])
+    vals = np.tile(np.diag([1.0, 2.0]), (4, 5, 1, 1))
+    vals[2, 3, 1, 0] = np.nan
+
+    class Dummy:
+        pass
+
+    path = Dummy()
+    path.grid = grid
+    path.values = vals
+    with pytest.raises(NumericalError, match=r"grid coordinates \[\(2, 3\)\]"):
+        spectral_path(path, kind)
 
 
 def test_spectral_path_shift_equivariance():
