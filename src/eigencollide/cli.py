@@ -32,6 +32,7 @@ from .estimate import box_dim, collision_prob
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    check_config,
     dump_field_csv,
     field_report,
     parse_config,
@@ -148,6 +149,7 @@ def _load_config(args, require=True) -> ExperimentConfig | None:
         overrides["kappa"] = args.kappa
     if overrides:
         cfg = replace(cfg, **overrides)
+        check_config(cfg)
     # The environment default applies only where neither the config nor
     # --threads sets a thread count; parse_config has accepted the mapping.
     if getattr(args, "threads", None) is None and "threads" not in yaml.safe_load(text):

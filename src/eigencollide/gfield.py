@@ -8,8 +8,12 @@ Two exact samplers:
   is not nonnegative or the grid does not sit on a lattice through 0.
 * `sample_sheet` draws an N-parameter fractional Brownian sheet.  The
   covariance factorizes over axes, so the draw applies one per-axis
-  Cholesky factor along each tensor dimension: cost sum n_j^3 for the
-  factors (cached) plus (prod n_j) * sum n_j per draw, never (prod n_j)^3.
+  Cholesky factor along each tensor dimension.  On an H = 1/2 axis the
+  factor of min(s, t) is L[i, k] = sqrt(t_k - t_{k-1}) for k <= i (t_0 = 0),
+  applied as a scaling and a cumulative sum in O(n_j) per line; other axes
+  use the dense factor, cost n_j^3 once (cached) plus n_j per point and
+  draw.  A draw costs (prod n_j) * sum_j c_j with c_j = 1 on H = 1/2 axes
+  and n_j otherwise, never (prod n_j)^3.
 
 Sampling uses the splittable streams of `eigencollide.rng`; a fixed
 (seed, key) always reproduces the same values bit for bit.
@@ -207,8 +211,19 @@ def _axis_factor(h: float, a: float, b: float, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _brownian_weights(a: float, b: float, n: int) -> np.ndarray:
+    """Column weights sqrt(t_k - t_{k-1}), t_0 = 0, of the exact Cholesky
+    factor of min(s, t) on the grid: L[i, k] = w[k] for k <= i."""
+    ax = np.linspace(a, b, n)
+    w = np.sqrt(np.diff(ax, prepend=0.0))
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=64)
 def _fgn_sqrt_eigs(h: float, step: float, n_incr: int) -> np.ndarray | None:
-    """sqrt eigenvalues of the circulant embedding of fGn covariance.
+    """sqrt eigenvalues of the circulant embedding of fGn covariance, the
+    first n_incr + 1 of the 2 n_incr (the rest mirror them).
 
     Returns None when the embedding has a negative eigenvalue, which
     signals the caller to fall back to a dense factorization.
@@ -223,23 +238,26 @@ def _fgn_sqrt_eigs(h: float, step: float, n_incr: int) -> np.ndarray | None:
     eigs = np.fft.fft(circ).real
     if eigs.min() < -1e-10 * eigs.max():
         return None
-    eigs = np.clip(eigs, 0.0, None)
+    eigs = np.clip(eigs[: n_incr + 1], 0.0, None)
     out = np.sqrt(eigs)
     out.flags.writeable = False
     return out
 
 
 def _fgn_draw(sqrt_eigs: np.ndarray, n_incr: int, rng: np.random.Generator) -> np.ndarray:
-    """One fGn realization from the circulant spectrum (Davies-Harte)."""
+    """One fGn realization from the circulant spectrum (Davies-Harte).
+
+    The spectrum times the noise is Hermitian, so the real inverse FFT of
+    its first half gives the real part of the full complex inverse FFT.
+    """
     m = 2 * n_incr
     ends = rng.standard_normal(2)
     v = rng.standard_normal((n_incr - 1, 2))
-    z = np.empty(m, dtype=complex)
+    z = np.empty(n_incr + 1, dtype=complex)
     z[0] = ends[0]
     z[n_incr] = ends[1]
     z[1:n_incr] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-    z[n_incr + 1 :] = np.conj(z[1:n_incr][::-1])
-    return np.sqrt(m) * np.fft.ifft(sqrt_eigs * z).real[:n_incr]
+    return np.sqrt(m) * np.fft.irfft(sqrt_eigs * z, n=m)[:n_incr]
 
 
 def _lattice_presteps(grid: TimeGrid) -> int | None:
@@ -300,7 +318,8 @@ def sample_sheet(
     """One fractional-Brownian-sheet draw on the grid.
 
     The per-axis covariance factors are cached, so repeated draws on the
-    same grid only pay the tensor application.
+    same grid only pay the tensor application: a scaled cumulative sum on
+    H = 1/2 axes, a dense factor product on the others.
     """
     if grid.ndim != spec.ndim:
         raise ValueError("grid and kernel dimension mismatch")
@@ -312,6 +331,11 @@ def sample_sheet(
     values = rng.standard_normal(grid.shape)
     for j, h in enumerate(spec.hurst.as_floats()):
         a, b = grid.intervals[j]
+        if h == 0.5:
+            w = _brownian_weights(a, b, grid.shape[j])
+            values *= w.reshape((-1,) + (1,) * (grid.ndim - 1 - j))
+            np.cumsum(values, axis=j, out=values)
+            continue
         factor = _axis_factor(h, a, b, grid.shape[j])
         values = np.moveaxis(np.tensordot(factor, values, axes=(1, j)), 0, j)
     return FieldSample(grid, np.ascontiguousarray(values), seed, tuple(key))

@@ -40,6 +40,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "RunRecord",
+    "check_config",
     "parse_config",
     "render_config",
     "run",
@@ -143,8 +144,9 @@ def parse_config(text: str) -> ExperimentConfig:
     ]
     data = {k: _tupled(v) for k, v in raw.items() if k in known}
 
-    if "hurst" in data:
-        data["hurst"] = tuple(str(h) for h in data["hurst"])
+    hurst = data.get("hurst")
+    if isinstance(hurst, tuple):
+        data["hurst"] = tuple(str(h) for h in hurst)
     required = ("kind", "shape", "pattern", "hurst", "resolution")
     for key in required:
         if key not in data:
@@ -152,7 +154,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if problems and any(p.startswith("missing") for p in problems):
         raise ConfigError("; ".join(problems))
 
-    n_axes = len(data.get("hurst", ()))
+    n_axes = len(hurst) if isinstance(hurst, tuple) else 0
     data.setdefault("interval", tuple([(1.0, 2.0)] * n_axes))
 
     cfg = ExperimentConfig(**data)
@@ -162,8 +164,67 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is(kind):
+    return lambda v: isinstance(v, kind)
+
+
+def _tuple_of(check):
+    return lambda v: isinstance(v, tuple) and all(check(x) for x in v)
+
+
+def _optional(check):
+    return lambda v: v is None or check(v)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v))
+
+
+def _is_cell(v) -> bool:
+    return _is_real(v) or isinstance(v, str)
+
+
+_is_matrix = _optional(_tuple_of(_tuple_of(_is_cell)))
+
+# Value types checked before any invariant, so that a wrongly typed value
+# is reported by name instead of failing inside a comparison.
+_FIELD_TYPES = {
+    "kind": (_is(str), "a string"),
+    "shape": (_tuple_of(_is_int), "a list of integers"),
+    "pattern": (_tuple_of(_is_int), "a list of integers"),
+    "hurst": (_tuple_of(_is(str)), "a list of rationals"),
+    "resolution": (_tuple_of(_is_int), "a list of integers"),
+    "interval": (_tuple_of(_is_pair), "a list of [a, b] pairs"),
+    "eps_ladder": (_tuple_of(_is_real), "a list of numbers"),
+    "delta_ladder": (_tuple_of(_is_real), "a list of numbers"),
+    "kappa": (_is_real, "a number"),
+    "paths": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "threads": (_is_int, "an integer"),
+    "boxdim": (_is(bool), "true or false"),
+    "shift": (_is_matrix, "a list of rows"),
+    "transform": (_is_matrix, "a list of rows"),
+    "transform_right": (_is_matrix, "a list of rows"),
+    "out_dir": (_optional(_is(str)), "a string"),
+}
+
+
 def _validate(cfg: ExperimentConfig) -> list[str]:
-    out = []
+    out = [
+        "%s must be %s, got %r" % (name, what, getattr(cfg, name))
+        for name, (check, what) in _FIELD_TYPES.items()
+        if not check(getattr(cfg, name))
+    ]
+    if out:
+        return out
     if cfg.kind not in _KINDS:
         out.append("kind must be one of %s" % sorted(_KINDS))
         return out
@@ -212,6 +273,13 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     return out
 
 
+def check_config(cfg: ExperimentConfig) -> None:
+    """Raise `ConfigError` listing every violated invariant of `cfg`."""
+    problems = _validate(cfg)
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical YAML form; parse(render(c)) == c."""
     data = {}
@@ -256,9 +324,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     A stage failure is recorded in `warnings` with partial outputs
     preserved; the record is still written.
     """
-    problems = _validate(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    check_config(cfg)
     kind = cfg.spectral_kind
     pattern = cfg.collision_pattern()
     grid = cfg.time_grid()

@@ -150,7 +150,7 @@ def assemble_selfadjoint(
             entry = i * d + j
             xi = _scalar_draw(spec.kernel, grid, seed, (path_index, entry, _PART_REAL))
             if i == j:
-                out[..., i, i] = np.sqrt(2.0) * xi
+                np.multiply(xi, np.sqrt(2.0), out=out[..., i, i])
                 continue
             if spec.beta == 2:
                 eta = _scalar_draw(

@@ -30,11 +30,11 @@ scope.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gfield import _as_exponent
 from .rng import DOMAIN_SDE, substream
 
 __all__ = [
@@ -80,10 +80,6 @@ class ParticleState:
             raise ValueError("beta must be 1 or 2")
         if self.positions.ndim != 1:
             raise ValueError("positions must be a vector")
-
-
-def _as_exponent(H) -> float:
-    return float(Fraction(H)) if isinstance(H, str) else float(H)
 
 
 def nudge_apart(positions, spread: float = _NUDGE) -> np.ndarray:

@@ -5,6 +5,9 @@ import pytest
 from scipy.stats import ks_2samp
 
 from eigencollide.gfield import (
+    _axis_factor,
+    _fgn_draw,
+    _fgn_sqrt_eigs,
     FactorizationError,
     KernelSpec,
     TimeGrid,
@@ -14,6 +17,7 @@ from eigencollide.gfield import (
     sample_sheet,
     verify_assumptions,
 )
+from eigencollide.rng import DOMAIN_FIELD, substream
 from eigencollide.theory import HurstVector
 
 
@@ -200,6 +204,95 @@ def test_sheet_determinism():
     a = sample_sheet(k, g, seed=11, key=(0, 1))
     b = sample_sheet(k, g, seed=11, key=(0, 1))
     assert np.array_equal(a.values, b.values)
+
+
+def _dense_sheet(k, g, seed, key):
+    """Reference draw: the dense Cholesky factor applied along every axis."""
+    values = substream(seed, DOMAIN_FIELD, *key).standard_normal(g.shape)
+    for j, h in enumerate(k.hurst.as_floats()):
+        (a, b), n = g.intervals[j], g.shape[j]
+        values = np.moveaxis(np.tensordot(_axis_factor(h, a, b, n), values, axes=(1, j)), 0, j)
+    return values
+
+
+@pytest.mark.parametrize(
+    "hs, intervals, shape",
+    [
+        (("1/3", "1/2", "3/4"), [(1.0, 2.0), (0.5, 3.0), (1.0, 1.5)], (5, 9, 6)),
+        (("1/2", "1/2"), [(0.5, 3.0), (0.5, 3.0)], (40, 33)),
+        (("1/2",), [(0.5, 3.0)], (257,)),
+    ],
+)
+def test_sheet_brownian_axes_match_dense_factor(hs, intervals, shape):
+    # H = 1/2 axes apply the exact factor of min(s, t) as a scaled cumsum;
+    # it must reproduce the dense Cholesky draw up to rounding.
+    k, g = spec(*hs), TimeGrid(intervals, shape)
+    got = sample_sheet(k, g, seed=31, key=(2, 5, 0)).values
+    want = _dense_sheet(k, g, 31, (2, 5, 0))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_fgn_real_fft_matches_complex_ifft():
+    for h, n_incr in ((0.5, 4096), (0.3, 257), (0.8, 2)):
+        half = _fgn_sqrt_eigs(h, 1.0 / n_incr, n_incr)
+        got = _fgn_draw(half, n_incr, np.random.default_rng(9))
+        # Complex Davies-Harte: mirror the spectrum and the noise.
+        rng = np.random.default_rng(9)
+        m = 2 * n_incr
+        ends = rng.standard_normal(2)
+        v = rng.standard_normal((n_incr - 1, 2))
+        z = np.empty(m, dtype=complex)
+        z[0], z[n_incr] = ends
+        z[1:n_incr] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
+        z[n_incr + 1 :] = np.conj(z[1:n_incr][::-1])
+        full = np.concatenate([half, half[-2:0:-1]])
+        want = np.sqrt(m) * np.fft.ifft(full * z).real[:n_incr]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# Realizations recorded from the dense-factor sheet sampler and the complex
+# Davies-Harte draw: entries at fixed flat indices and the sum of squares.
+# They pin the stream layout (seed, key) -> values across sampler changes.
+_PINNED = [
+    pytest.param(
+        lambda: sample_sheet(spec("1/2", "1/2"), TimeGrid.unit([32, 32]), 2024, (3, 1, 0)),
+        [0, 31, 32, 527, 1023],
+        [-0.8501444651854032, 0.6861578020183478, -0.8964114281041946,
+         -0.892522704001193, -1.0056525077565557],
+        751.5551847596566,
+        id="sheet_brownian_32x32",
+    ),
+    pytest.param(
+        lambda: sample_sheet(spec("2/5", "1/2"), TimeGrid.unit([16, 16]), 2024, (3, 1, 0)),
+        [0, 15, 16, 135, 255],
+        [-0.8501444651854032, -0.15588071195797473, -0.9005710193157717,
+         -1.1042615864861425, -0.8282738118665186],
+        145.39408000772153,
+        id="sheet_mixed_16x16",
+    ),
+    pytest.param(
+        lambda: sample_fbm_1d("1/2", TimeGrid.unit([4096]), 2024, (3, 1, 0)),
+        [0, 1, 2047, 4095],
+        [-0.4214658267495889, -0.39133311927422293, -1.9009794261380264,
+         -1.5049628602850156],
+        9917.22709742908,
+        id="fbm_davies_harte_4096",
+    ),
+    pytest.param(  # [1.05, 2] with 20 points has no lattice through 0
+        lambda: sample_fbm_1d("7/10", TimeGrid([(1.05, 2.0)], [20]), 2024, (3, 1, 0)),
+        [0, 7, 19],
+        [-0.6533753830512818, -1.7377480272429646, -1.628665606922615],
+        50.207831495883596,
+        id="fbm_dense_fallback_20",
+    ),
+]
+
+
+@pytest.mark.parametrize("draw, idx, values, sumsq", _PINNED)
+def test_pinned_realizations(draw, idx, values, sumsq):
+    flat = draw().values.ravel()
+    assert np.allclose(flat[idx], values, rtol=1e-12, atol=0)
+    assert np.sum(flat**2) == pytest.approx(sumsq, rel=1e-12)
 
 
 # -- assumption scan ----------------------------------------------------

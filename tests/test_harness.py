@@ -86,6 +86,27 @@ def test_multiple_violations_reported_together():
     assert "paths" in msg and "eps_ladder" in msg
 
 
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("paths: 150", 'paths: "many"', "paths must be an integer"),
+        ("paths: 150", "paths: 150.0", "paths must be an integer"),
+        ("seed: 11", "seed: true", "seed must be an integer"),
+        ("eps_ladder: [0.8, 0.4, 0.2]", "eps_ladder: 0.5", "eps_ladder must be a list"),
+        ("eps_ladder: [0.8, 0.4, 0.2]", 'eps_ladder: [0.8, "x"]', "eps_ladder must be a list"),
+        ('hurst: ["1/2", "1/2"]', "hurst: 0.5", "hurst must be a list"),
+        ("resolution: [32, 32]", "resolution: 32", "resolution must be a list"),
+        ("shape: [2]", "shape: [[2]]", "shape must be a list"),
+        ("seed: 11", "seed: 11\ninterval: [1, 2]", "interval must be a list"),
+        ("seed: 11", "seed: 11\ntransform: 5", "transform must be a list"),
+        ("seed: 11", "seed: 11\nboxdim: 1", "boxdim must be true or false"),
+    ],
+)
+def test_wrongly_typed_values_are_config_errors(old, new, named):
+    with pytest.raises(ConfigError, match=named):
+        parse_config(MINIMAL.replace(old, new))
+
+
 def test_config_hash_ignores_execution_details():
     cfg = parse_config(MINIMAL)
     assert config_hash(cfg) == config_hash(dataclasses.replace(cfg, threads=8))
@@ -218,6 +239,31 @@ def test_cli_collide_prob_overrides(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_paths"] == 120
     assert payload["eps_ladder"] == [1.0, 0.5]
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--threads", "0"], "threads must be >= 1"),
+        (["--paths", "50"], "paths must be >= 100"),
+        (["--grid", "16"], "resolution needs one entry"),
+        (["--eps-ladder", "0.1,0.4"], "eps_ladder must be strictly decreasing"),
+        (["--seed", "-1"], "seed must be a 64-bit"),
+    ],
+)
+def test_cli_overrides_are_validated(tmp_path, capsys, flags, named):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL)
+    rc = cli(["collide-prob", "--config", str(cfg_file)] + flags)
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_cli_wrongly_typed_config_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL.replace("paths: 150", 'paths: "many"'))
+    assert cli(["collide-prob", "--config", str(cfg_file)]) == 2
+    assert "paths must be an integer" in capsys.readouterr().err
 
 
 def test_cli_sde_csv(tmp_path, capsys):

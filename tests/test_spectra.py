@@ -9,6 +9,7 @@ from eigencollide.gfield import KernelSpec, TimeGrid
 from eigencollide.matfield import EnsembleSpec, sample_ensemble
 from eigencollide.spectra import (
     NumericalError,
+    _mid_radius,
     eigvals_selfadjoint,
     pattern_gap,
     pattern_gap_values,
@@ -297,6 +298,49 @@ def test_pattern_gap_matches_brute_force():
             assert pattern_gap(lam, p).value == pytest.approx(want, abs=1e-12)
             got = pattern_gap_values(lam[None, :], p)[0]
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_pattern_gap_values_equal_to_witness_dp():
+    # Both DPs only subtract, take max and take min of the same values, so
+    # the batched rows must agree with the memoised DP exactly, ties included.
+    rng = np.random.default_rng(4711)
+    for n in range(2, 7):
+        spectra = np.sort(rng.integers(0, 5, size=(60, n)) * 0.25 + rng.random((60, 1)), axis=1)
+        spectra[:30] = np.sort(rng.standard_normal((30, n)), axis=1)
+        for mult in all_patterns(n):
+            p = CollisionPattern(mult, n)
+            got = pattern_gap_values(spectra, p)
+            want = np.array([pattern_gap(lam, p).value for lam in spectra])
+            assert np.all(got == want), (n, mult)
+
+
+def test_pattern_gap_values_shapes():
+    p = CollisionPattern((2,), 3)
+    assert pattern_gap_values([0.0, 1.0, 1.5], p).shape == ()
+    assert pattern_gap_values(np.zeros((4, 5, 3)), p).shape == (4, 5)
+    assert pattern_gap_values(np.zeros((0, 3)), p).shape == (0,)
+
+
+def test_mid_radius_against_hypot():
+    rng = np.random.default_rng(808)
+    x = rng.standard_normal(4000) * 10.0 ** rng.integers(-150, 151, 4000)
+    y = np.abs(rng.standard_normal(4000)) * 10.0 ** rng.integers(-150, 151, 4000)
+    big = np.finfo(float).max
+    cases = [(0.0, 0.0), (1.0, 1.0), (-3.0, 3.0), (0.0, 2.5), (4.0, 0.0),
+             (1e150, 1e150), (1e-150, 1e-150), (1e150, 1e-150), (1e-150, 1e150),
+             (1e308, 1e308), (big, 0.0), (big / 2, big / 2), (-1e308, 1e300)]
+    dx = np.concatenate([x, [c[0] for c in cases]])
+    b = np.concatenate([y, [c[1] for c in cases]])
+    # With a = dx and c = -dx the halved difference is exactly dx.
+    mid, r = _mid_radius(dx, -dx, b)
+    want = np.hypot(dx, b)
+    assert np.all(mid == 0) and np.all(np.isfinite(r))
+    assert np.all(r[want == 0] == 0)
+    # ulp distance of nonnegative doubles: difference of their bit patterns
+    assert np.abs(r.view(np.int64) - want.view(np.int64)).max() <= 2
+    # 0-d input keeps its shape
+    mid0, r0 = _mid_radius(np.float64(1.0), np.float64(3.0), np.float64(0.0))
+    assert np.shape(r0) == () and r0 == 1.0 and mid0 == 2.0
 
 
 def test_pattern_gap_witness_blocks_are_disjoint_and_sized():
