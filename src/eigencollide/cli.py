@@ -283,11 +283,14 @@ def _sde(args) -> int:
     d = args.d
     x0 = np.asarray(args.x0, dtype=float) if args.x0 else np.zeros(d)
     seed = args.seed if args.seed is not None else 0
-    if args.model == "dyson":
-        term, broken = dyson_paths(x0, args.t1, args.steps, args.beta, seed, args.paths)
-    else:
-        n = args.n if args.n is not None else max(d, 3)
-        term, broken = wishart_paths(x0, args.t1, args.steps, n, seed, args.paths)
+    try:
+        if args.model == "dyson":
+            term, broken = dyson_paths(x0, args.t1, args.steps, args.beta, seed, args.paths)
+        else:
+            n = args.n if args.n is not None else max(d, 3)
+            term, broken = wishart_paths(x0, args.t1, args.steps, n, seed, args.paths)
+    except ValueError as err:  # the runners reject bad arguments up front
+        raise ConfigError(str(err)) from err
     summary = {
         "model": args.model,
         "paths": args.paths,

@@ -325,11 +325,12 @@ def sample_sheet(
         raise ValueError("grid and kernel dimension mismatch")
     if any(n < 2 for n in grid.shape):
         raise ValueError("need at least two points per axis")
-    if max(grid.shape) > _MAX_DENSE:
+    hurst = spec.hurst.as_floats()
+    if any(n > _MAX_DENSE for n, h in zip(grid.shape, hurst) if h != 0.5):
         raise FactorizationError("axis too large for dense per-axis factorization")
     rng = substream(seed, DOMAIN_FIELD, *key)
     values = rng.standard_normal(grid.shape)
-    for j, h in enumerate(spec.hurst.as_floats()):
+    for j, h in enumerate(hurst):
         a, b = grid.intervals[j]
         if h == 0.5:
             w = _brownian_weights(a, b, grid.shape[j])

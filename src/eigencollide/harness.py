@@ -249,6 +249,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append("resolution needs one entry per hurst exponent")
         if len(cfg.interval) != len(hv):
             out.append("interval needs one (a, b) pair per hurst exponent")
+    if any(n < 2 for n in cfg.resolution):
+        out.append("resolution entries must be >= 2 (every sampler needs two points per axis)")
     try:
         cfg.time_grid()
     except ValueError as err:

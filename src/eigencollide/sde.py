@@ -22,6 +22,16 @@ Start states at (or within noise of) coincidence are nudged apart by a
 step schedule so the first steps satisfy the impulse bound at the start
 state; halving alone cannot bridge from dt to the fully collided scale.
 
+The path runners integrate up to 1024 paths at once.  Their state is
+particle-major, shape (d, paths), so each per-particle operation is one
+contiguous vector operation over the paths.  Path p draws its Brownian
+increments from its own stream, substream(seed, DOMAIN_SDE, p), in blocks
+of 256 steps; consecutive draws on one stream continue a single
+(steps, d) draw, so the block size does not change any path.  Memory is
+O(block * d * paths + d^2 * paths) per chunk of paths, independent of the
+number of steps.  The drifts add their pair terms in ascending j, so a
+path does not depend on how many paths share its chunk.
+
 The fractional (H > 1/2) systems are not integrated; only their explicit
 drift coefficients are exposed, the Skorohod noise terms being out of
 scope.
@@ -51,7 +61,7 @@ __all__ = [
 
 _MAX_HALVINGS = 20
 _NUDGE = 1e-8
-_IMPULSE_THETA = 1.0  # halve when dt * max|drift| > theta * min gap
+_BLOCK_STEPS = 256  # steps of noise drawn per stream at a time
 
 
 class CollisionBreakdownError(RuntimeError):
@@ -90,75 +100,92 @@ def nudge_apart(positions, spread: float = _NUDGE) -> np.ndarray:
     return x
 
 
+def _differences(x: np.ndarray) -> np.ndarray:
+    """x_i - x_j over particle-major x, shape (d, d, paths), with inf on the
+    diagonal so that pair terms divided by it vanish there."""
+    d = len(x)
+    diff = x[:, None] - x[None, :]
+    diff.reshape(d * d, -1)[:: d + 1] = np.inf
+    return diff
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """sum_j terms[i, j] of a (d, d, paths) array, added in ascending j
+    onto 0.0.  numpy's sum picks its order from shape and strides; a fixed
+    order keeps a path independent of how many paths share its chunk."""
+    out = 0.0 + terms[:, 0]
+    for j in range(1, len(terms)):
+        out += terms[:, j]
+    return out
+
+
 def _dyson_drift(x: np.ndarray) -> np.ndarray:
-    d = x.shape[-1]
-    diff = x[..., :, None] - x[..., None, :]
-    diff[..., np.arange(d), np.arange(d)] = np.inf
-    return (1.0 / diff).sum(axis=-1)
+    diff = _differences(x)
+    return _row_sums(np.divide(1.0, diff, out=diff))
 
 
 def _wishart_drift(x: np.ndarray, n: int) -> np.ndarray:
-    d = x.shape[-1]
-    diff = x[..., :, None] - x[..., None, :]
-    diff[..., np.arange(d), np.arange(d)] = np.inf
-    total = x[..., :, None] + x[..., None, :]
-    return n + (total / diff).sum(axis=-1)
+    total = x[:, None] + x[None, :]
+    total /= _differences(x)
+    out = _row_sums(total)
+    out += n
+    return out
 
 
 def _min_gap(x: np.ndarray) -> np.ndarray:
-    if x.shape[-1] < 2:
-        return np.full(x.shape[:-1], np.inf)
-    return np.diff(x, axis=-1).min(axis=-1)
-
-
-def _bad_order(y: np.ndarray) -> np.ndarray:
-    if y.shape[-1] < 2:
-        return np.zeros(y.shape[:-1], dtype=bool)
-    # NaN rows must count as bad, so test the negation of "all gaps positive".
-    return ~np.all(np.diff(y, axis=-1) > 0, axis=-1)
+    """Smallest gap per path; NaN when a position is NaN."""
+    if len(x) < 2:
+        return np.full(x.shape[1:], np.inf)
+    return (x[1:] - x[:-1]).min(axis=0)
 
 
 def _advance(x, dt, dw, depth, drift_fn, diffusion_fn, reflect):
     """Vectorized Euler step with recursive halving on the bad subset.
 
-    Returns (y, bad); rows still bad at depth 0 carry whatever the last
-    attempt produced and must be treated as broken by the caller.
+    x and dw are particle-major, shape (d, paths).  Returns (y, bad);
+    columns still bad at depth 0 carry whatever the last attempt produced
+    and must be treated as broken by the caller.  Callers run it under
+    np.errstate(invalid="ignore"): a NaN column is reported as bad.
     """
     drift = drift_fn(x)
-    y = x + diffusion_fn(x) * dw + drift * dt
+    drift *= dt
+    y = diffusion_fn(x, dw)
+    y += x
+    y += drift
     if reflect:
-        y = np.abs(y)
-    crossed = _bad_order(y)
-    with np.errstate(invalid="ignore"):
-        unstable = dt * np.abs(drift).max(axis=-1) > _IMPULSE_THETA * _min_gap(x)
+        np.abs(y, out=y)
+    # NaN columns must count as crossed, so negate "smallest gap positive"
+    crossed = ~(_min_gap(y) > 0)
+    # max |dt * drift| is dt * max |drift| exactly: rounding is monotone
+    unstable = np.abs(drift, out=drift).max(axis=0) > _min_gap(x)
     bad = crossed | unstable
-    if not bad.any() or depth <= 0:
+    if depth <= 0 or not bad.any():
         return y, crossed
-    y1, bad1 = _advance(x[bad], dt / 2, dw[bad] / 2, depth - 1, drift_fn, diffusion_fn, reflect)
-    # rows that already failed the first half are broken for good; only the
-    # survivors take the second half
-    y2 = y1
-    bad2 = bad1.copy()
+    half = dw[:, bad] / 2
+    y1, bad1 = _advance(x[:, bad], dt / 2, half, depth - 1, drift_fn, diffusion_fn, reflect)
+    # columns that already failed the first half are broken for good; only
+    # the survivors take the second half
     alive = ~bad1
     if alive.any():
-        y2 = y1.copy()
-        y2[alive], b2 = _advance(
-            y1[alive], dt / 2, dw[bad][alive] / 2, depth - 1, drift_fn, diffusion_fn, reflect
+        y1[:, alive], bad1[alive] = _advance(
+            y1[:, alive], dt / 2, half[:, alive], depth - 1, drift_fn, diffusion_fn, reflect
         )
-        bad2[alive] = b2
-    y[bad] = y2
-    final = np.zeros_like(crossed)
-    final[bad] = bad2
-    return y, final
+    y[:, bad] = y1
+    crossed[bad] = bad1  # crossed is False outside bad
+    return y, crossed
 
 
 def _dyson_diffusion(beta):
     coeff = math.sqrt(2.0 / beta)
-    return lambda x: coeff
+    return lambda x, dw: coeff * dw
 
 
-def _wishart_diffusion(x):
-    return 2.0 * np.sqrt(np.clip(x, 0.0, None))
+def _wishart_diffusion(x, dw):
+    out = np.clip(x, 0.0, None)
+    np.sqrt(out, out=out)
+    out *= 2.0
+    out *= dw
+    return out
 
 
 def _check_step_args(state: ParticleState, dt: float, noise) -> np.ndarray:
@@ -172,6 +199,20 @@ def _check_step_args(state: ParticleState, dt: float, noise) -> np.ndarray:
     return dw
 
 
+def _step(state: ParticleState, dt, dw, drift_fn, diffusion_fn, reflect) -> ParticleState:
+    with np.errstate(invalid="ignore"):
+        y, bad = _advance(
+            state.positions[:, None], dt, dw[:, None], _MAX_HALVINGS,
+            drift_fn, diffusion_fn, reflect,
+        )
+    if bad[0]:
+        raise CollisionBreakdownError(
+            "ordering lost at t=%g after %d halvings" % (state.time, _MAX_HALVINGS),
+            state=state,
+        )
+    return ParticleState(time=state.time + dt, positions=y[:, 0], beta=state.beta, n=state.n)
+
+
 def dyson_step(state: ParticleState, dt: float, noise) -> ParticleState:
     """One Euler step of the eigenvalue repulsion system.
 
@@ -180,21 +221,7 @@ def dyson_step(state: ParticleState, dt: float, noise) -> ParticleState:
     state, if ordering cannot be preserved within 20 halvings.
     """
     dw = _check_step_args(state, dt, noise)
-    y, bad = _advance(
-        state.positions[None, :],
-        dt,
-        dw[None, :],
-        _MAX_HALVINGS,
-        _dyson_drift,
-        _dyson_diffusion(state.beta),
-        reflect=False,
-    )
-    if bad[0]:
-        raise CollisionBreakdownError(
-            "ordering lost at t=%g after %d halvings" % (state.time, _MAX_HALVINGS),
-            state=state,
-        )
-    return ParticleState(time=state.time + dt, positions=y[0], beta=state.beta, n=state.n)
+    return _step(state, dt, dw, _dyson_drift, _dyson_diffusion(state.beta), reflect=False)
 
 
 def wishart_eig_step(state: ParticleState, dt: float, noise) -> ParticleState:
@@ -206,32 +233,20 @@ def wishart_eig_step(state: ParticleState, dt: float, noise) -> ParticleState:
     if np.any(state.positions < 0):
         raise ValueError("positions must be nonnegative")
     dw = _check_step_args(state, dt, noise)
-    y, bad = _advance(
-        state.positions[None, :],
-        dt,
-        dw[None, :],
-        _MAX_HALVINGS,
-        lambda x: _wishart_drift(x, state.n),
-        _wishart_diffusion,
-        reflect=True,
+    return _step(
+        state, dt, dw, lambda x: _wishart_drift(x, state.n), _wishart_diffusion, reflect=True
     )
-    if bad[0]:
-        raise CollisionBreakdownError(
-            "ordering lost at t=%g after %d halvings" % (state.time, _MAX_HALVINGS),
-            state=state,
-        )
-    return ParticleState(time=state.time + dt, positions=y[0], beta=state.beta, n=state.n)
 
 
 def _dt_schedule(x0, t1, n_steps, drift_fn) -> np.ndarray:
     """Uniform steps of t1/n_steps, preceded by a geometric warm-up ramp
     when the start state cannot take a full step within the impulse bound."""
     target = t1 / n_steps
-    gap = float(_min_gap(x0[None, :])[0])
-    peak = float(np.abs(drift_fn(x0[None, :])).max())
+    gap = float(_min_gap(x0[:, None])[0])
+    peak = float(np.abs(drift_fn(x0[:, None])).max())
     ramp = []
     if peak > 0 and np.isfinite(gap):
-        dt = _IMPULSE_THETA * gap / peak
+        dt = gap / peak
         t = 0.0
         while dt < target and t + dt < 0.5 * t1:
             ramp.append(dt)
@@ -244,29 +259,42 @@ def _dt_schedule(x0, t1, n_steps, drift_fn) -> np.ndarray:
 
 
 def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect, chunk_size=1024):
+    if not t1 > 0:
+        raise ValueError("t1 must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     d = len(x0)
     dts = _dt_schedule(x0, t1, n_steps, drift_fn)
     sqrt_dts = np.sqrt(dts)
+    block = min(_BLOCK_STEPS, len(dts))
     out = np.empty((n_paths, d))
     broken = np.zeros(n_paths, dtype=bool)
     for lo in range(0, n_paths, chunk_size):
-        ids = range(lo, min(lo + chunk_size, n_paths))
-        normals = np.stack(
-            [substream(seed, DOMAIN_SDE, p).standard_normal((len(dts), d)) for p in ids]
-        )
-        x = np.tile(x0, (len(normals), 1))
-        dead = np.zeros(len(normals), dtype=bool)
-        for k, dt in enumerate(dts):
-            y, bad = _advance(
-                x, dt, normals[:, k] * sqrt_dts[k], _MAX_HALVINGS,
-                drift_fn, diffusion_fn, reflect,
-            )
-            frozen = dead | bad
-            y[frozen] = x[frozen]  # broken paths keep their last valid state
-            dead |= bad
-            x = y
-        out[lo : lo + len(normals)] = x
-        broken[lo : lo + len(normals)] = dead
+        hi = min(lo + chunk_size, n_paths)
+        streams = [substream(seed, DOMAIN_SDE, p) for p in range(lo, hi)]
+        noise = np.empty((block, d, hi - lo))
+        x = np.repeat(x0[:, None], hi - lo, axis=1)
+        dead = np.zeros(hi - lo, dtype=bool)
+        with np.errstate(invalid="ignore"):
+            for k0 in range(0, len(dts), block):
+                nb = min(block, len(dts) - k0)
+                # consecutive draws on a stream continue one (steps, d) draw
+                for j, g in enumerate(streams):
+                    noise[:nb, :, j] = g.standard_normal((nb, d))
+                noise[:nb] *= sqrt_dts[k0 : k0 + nb, None, None]
+                for k, dt in enumerate(dts[k0 : k0 + nb]):
+                    y, bad = _advance(
+                        x, dt, noise[k], _MAX_HALVINGS, drift_fn, diffusion_fn, reflect
+                    )
+                    frozen = dead | bad
+                    if frozen.any():
+                        y[:, frozen] = x[:, frozen]  # broken paths keep their last valid state
+                        dead = frozen
+                    x = y
+        out[lo:hi] = x.T
+        broken[lo:hi] = dead
     return out, broken
 
 
@@ -312,7 +340,7 @@ def fractional_drift_coeffs(H, t: float, state: ParticleState) -> np.ndarray:
         raise ValueError("t must be positive")
     if np.any(np.diff(state.positions) <= 0):
         raise ValueError("positions must be strictly increasing")
-    return (2.0 * h * t ** (2.0 * h - 1.0)) * _dyson_drift(state.positions[None, :])[0]
+    return (2.0 * h * t ** (2.0 * h - 1.0)) * _dyson_drift(state.positions[:, None])[:, 0]
 
 
 def fractional_wishart_drift_coeffs(H, t: float, state: ParticleState) -> np.ndarray:
@@ -332,9 +360,5 @@ def fractional_wishart_drift_coeffs(H, t: float, state: ParticleState) -> np.nda
         raise ValueError("state needs the second dimension n")
     if np.any(np.diff(state.positions) <= 0):
         raise ValueError("positions must be strictly increasing")
-    d = len(state.positions)
-    x = state.positions
-    diff = x[:, None] - x[None, :]
-    diff[np.arange(d), np.arange(d)] = np.inf
-    interaction = ((x[:, None] + x[None, :]) / diff).sum(axis=-1)
-    return (2.0 * h * t ** (2.0 * h - 1.0)) * (state.n + interaction)
+    drift = _wishart_drift(state.positions[:, None], state.n)[:, 0]
+    return (2.0 * h * t ** (2.0 * h - 1.0)) * drift

@@ -154,6 +154,22 @@ def test_fbm_large_incommensurate_rejected():
 # -- sheet sampler ------------------------------------------------------
 
 
+def test_sheet_brownian_axes_have_no_dense_limit():
+    # H = 1/2 axes build no dense factor, so the 4096-point limit of the
+    # dense per-axis factors does not apply to them
+    g = TimeGrid([(1.0, 2.0), (0.5, 3.0)], [8, 5000])
+    got = sample_sheet(spec("1/2", "1/2"), g, seed=7, key=(2,)).values
+    z = substream(7, DOMAIN_FIELD, 2).standard_normal((8, 5000))
+    w = [
+        np.sqrt(np.diff(np.linspace(a, b, n), prepend=0.0))
+        for (a, b), n in zip(g.intervals, g.shape)
+    ]
+    want = np.cumsum(np.cumsum(z * w[0][:, None], axis=0) * w[1], axis=1)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    with pytest.raises(FactorizationError):
+        sample_sheet(spec("2/5", "1/2"), TimeGrid([(1.0, 2.0), (1.0, 2.0)], [5000, 8]), seed=7)
+
+
 def test_sheet_mean_and_covariance():
     k = spec("1/2", "1/2")
     g = TimeGrid([(1.0, 2.0), (1.0, 3.0)], [2, 2])

@@ -249,6 +249,7 @@ def test_cli_collide_prob_overrides(tmp_path, capsys):
         (["--grid", "16"], "resolution needs one entry"),
         (["--eps-ladder", "0.1,0.4"], "eps_ladder must be strictly decreasing"),
         (["--seed", "-1"], "seed must be a 64-bit"),
+        (["--grid", "1,16"], "resolution entries must be >= 2"),
     ],
 )
 def test_cli_overrides_are_validated(tmp_path, capsys, flags, named):
@@ -266,6 +267,13 @@ def test_cli_wrongly_typed_config_exits_2(tmp_path, capsys):
     assert "paths must be an integer" in capsys.readouterr().err
 
 
+def test_cli_resolution_below_two_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL.replace("resolution: [32, 32]", "resolution: [1, 16]"))
+    assert cli(["collide-prob", "--config", str(cfg_file)]) == 2
+    assert "resolution entries must be >= 2" in capsys.readouterr().err
+
+
 def test_cli_sde_csv(tmp_path, capsys):
     out = tmp_path / "paths.csv"
     rc = cli(["sde", "--model", "dyson", "--d", "2", "--beta", "1",
@@ -280,6 +288,21 @@ def test_cli_sde_csv(tmp_path, capsys):
     summary = (tmp_path / "paths.summary.csv").read_text().splitlines()
     assert summary[0] == "statistic,x1,x2"
     assert summary[1].startswith("mean,")
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--t1", "-1"], "t1 must be positive"),
+        (["--t1", "0"], "t1 must be positive"),
+        (["--steps", "0"], "n_steps must be >= 1"),
+        (["--paths", "0"], "n_paths must be >= 1"),
+        (["--model", "wishart", "--d", "3", "--n", "2"], "need n >= number of particles"),
+    ],
+)
+def test_cli_sde_bad_arguments_exit_2(flags, named, capsys):
+    assert cli(["sde", "--paths", "4", "--steps", "10"] + flags) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_cli_report_stage_failure_exits_nonzero(tmp_path, capsys):

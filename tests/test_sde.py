@@ -1,8 +1,11 @@
 """Integrator unit checks: drifts, invariants, determinism, breakdown."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from eigencollide import sde
 from eigencollide.sde import (
     CollisionBreakdownError,
     ParticleState,
@@ -139,6 +142,162 @@ def test_paths_deterministic():
 def test_beta2_no_breakdowns_from_spread_start():
     term, broken = dyson_paths(np.array([-1.0, 1.0]), 1.0, 1000, 2, 37, 2000)
     assert broken.sum() == 0
+
+
+# -- paths pinned bit for bit -------------------------------------------
+# Terminal positions recorded from the integrator before its state became
+# particle-major and its noise was drawn in blocks; both changes must leave
+# every path unchanged, so these compare with ==.
+
+DYSON_PINS = {
+    (1, 1): [
+        [1.4138127733871826],
+        [-0.11478768154290248],
+        [2.2503205791742946],
+    ],
+    (1, 2): [
+        [1.1678749104916035],
+        [-0.5078280212108023],
+        [-0.5026575812891299],
+    ],
+    (2, 1): [
+        [-1.9088259140965056, 2.5159049754385863],
+        [-2.5153293551975846, 1.4463540754194193],
+        [-2.201335338175355, 0.47334576584554705],
+    ],
+    (2, 2): [
+        [-1.1346056855811424, -0.571324007701075],
+        [-1.7333956315971324, 1.2661140007723082],
+        [-1.0124183965212104, 0.9508200474128005],
+    ],
+    (3, 1): [
+        [0.5767871831501935, 1.4213828967107256, 3.721107581451465],
+        [-2.283320775619243, 1.5834885935006782, 2.9804136924373017],
+        [-1.747599332237206, 1.3699657361703006, 4.027996610035701],
+    ],
+    (3, 2): [
+        [-2.3536970743561967, -0.2172191196417168, 1.1149584396072214],
+        [-1.8640696336329063, -0.037461323647336224, 1.6559164374725368],
+        [-1.7072505588032714, 0.4449880579846982, 1.7473579182404573],
+    ],
+}
+
+
+@pytest.mark.parametrize("d, beta", sorted(DYSON_PINS))
+def test_dyson_paths_pinned(d, beta):
+    term, broken = dyson_paths(np.zeros(d), 1.0, 200, beta, 5 + d + 10 * beta, 3)
+    assert not broken.any()
+    assert term.tolist() == DYSON_PINS[d, beta]
+
+
+def _count_halvings(monkeypatch):
+    calls = []
+    advance = sde._advance
+
+    def spy(x, dt, dw, depth, *rest):
+        calls.append(depth < sde._MAX_HALVINGS)
+        return advance(x, dt, dw, depth, *rest)
+
+    monkeypatch.setattr(sde, "_advance", spy)
+    return calls
+
+
+WISHART_PINS = {
+    # (x0, n_steps, n, seed, n_paths): terminal positions
+    ((0.5,), 200, 3, 41, 3): [
+        [4.285661901747826],
+        [4.721156903326133],
+        [6.30240309634787],
+    ],
+    ((0.0, 0.0), 200, 3, 43, 3): [
+        [0.6728861857613431, 2.9759130907017357],
+        [0.13703631284574738, 1.7807067139153514],
+        [1.849832750245889, 2.5054117203869817],
+    ],
+    ((0.0, 0.0), 20, 2, 47, 4): [
+        [0.16078167795083154, 2.349701083756234],
+        [2.17407919507469, 6.998408040818265],
+        [1.2085389397659287, 4.0291901430807355],
+        [1.0464840170182863, 8.859829448859202],
+    ],
+}
+
+
+@pytest.mark.parametrize("args", sorted(WISHART_PINS))
+def test_wishart_paths_pinned(monkeypatch, args):
+    x0, n_steps, n, seed, n_paths = args
+    halved = _count_halvings(monkeypatch)
+    term, broken = wishart_paths(np.array(x0), 1.0, n_steps, n, seed, n_paths)
+    assert not broken.any()
+    assert term.tolist() == WISHART_PINS[args]
+    if len(x0) > 1:
+        assert any(halved)  # the pin covers the halving recursion
+
+
+def test_steps_pinned_through_halving(monkeypatch):
+    halved = _count_halvings(monkeypatch)
+    out = dyson_step(state([0.0, 0.05]), 1e-3, np.array([0.2, -0.2]))
+    assert out.positions.tolist() == [0.02323223304703363, 0.026767766952966367]
+    assert any(halved)
+    halved.clear()
+    out = wishart_eig_step(state([0.04, 5.0], n=3), 1e-4, np.array([-40.0, 0.0]))
+    assert out.positions.tolist() == [4.548386428624489, 5.000789102959081]
+    assert any(halved)
+
+
+def test_broken_paths_pinned(monkeypatch):
+    # one halving level is too few near coincidence: broken paths keep
+    # their last valid state
+    monkeypatch.setattr(sde, "_MAX_HALVINGS", 1)
+    term, broken = dyson_paths(np.array([0.0, 0.05]), 1.0, 10, 1, 4, 6)
+    assert broken.tolist() == [True, False, True, False, True, False]
+    assert term.tolist() == [
+        [0.0002183046073667705, 1.1135896058764951],
+        [-1.2306394569190984, 1.4744603985768698],
+        [-0.34718738055363485, 0.6954962071421893],
+        [-0.08759040083618917, 0.41133853816166466],
+        [-0.1950597552755255, 0.6338762779966692],
+        [0.0190646315786984, 2.3765545503421084],
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 7, sde._BLOCK_STEPS])
+def test_noise_block_size_does_not_change_paths(monkeypatch, block):
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
+    # 200 steps plus the warm-up ramp are no multiple of 7; two extra paths
+    # share the chunk without changing the pinned ones
+    term, _ = dyson_paths(np.zeros(3), 1.0, 200, 1, 18, 5)
+    assert term[:3].tolist() == DYSON_PINS[3, 1]
+    args = ((0.0, 0.0), 200, 3, 43, 3)
+    term, _ = wishart_paths(np.array(args[0]), 1.0, *args[1:])
+    assert term.tolist() == WISHART_PINS[args]
+
+
+def test_path_memory_does_not_grow_with_steps():
+    tracemalloc.start()
+    try:
+        dyson_paths(np.zeros(2), 1.0, 2000, 1, 3, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize(
+    "t1, n_steps, n_paths, named",
+    [
+        (0.0, 10, 4, "t1 must be positive"),
+        (-1.0, 10, 4, "t1 must be positive"),
+        (float("nan"), 10, 4, "t1 must be positive"),
+        (1.0, 0, 4, "n_steps must be >= 1"),
+        (1.0, 10, 0, "n_paths must be >= 1"),
+    ],
+)
+def test_path_runner_arguments_validated(t1, n_steps, n_paths, named):
+    with pytest.raises(ValueError, match=named):
+        dyson_paths(np.zeros(2), t1, n_steps, 1, 0, n_paths)
+    with pytest.raises(ValueError, match=named):
+        wishart_paths(np.zeros(2), t1, n_steps, 3, 0, n_paths)
 
 
 # -- nudging ------------------------------------------------------------
