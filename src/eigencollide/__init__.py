@@ -24,7 +24,6 @@ from .theory import (
 from .gfield import (
     FactorizationError,
     FieldSample,
-    KernelKind,
     KernelSpec,
     TimeGrid,
     kernel_eval,
@@ -37,7 +36,6 @@ from .matfield import (
     EnsembleSpec,
     MatrixPath,
     affine,
-    affine_inverse,
     assemble_rect,
     assemble_selfadjoint,
     sample_ensemble,
@@ -73,7 +71,6 @@ __all__ = [
     # gfield
     "FactorizationError",
     "FieldSample",
-    "KernelKind",
     "KernelSpec",
     "TimeGrid",
     "kernel_eval",
@@ -85,7 +82,6 @@ __all__ = [
     "EnsembleSpec",
     "MatrixPath",
     "affine",
-    "affine_inverse",
     "assemble_rect",
     "assemble_selfadjoint",
     "sample_ensemble",

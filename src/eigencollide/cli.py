@@ -3,12 +3,15 @@
 Subcommands:
 
     predict         exact dichotomy verdict and dimension for one instance
-    simulate        draw one path, print spectral summary
+    simulate        draw Monte Carlo path 0, print its spectral summary
     collide-prob    Monte Carlo hit fractions over the eps ladder
     boxdim          box-counting dimension of one path's collision set
     sde             integrate the eigenvalue SDE systems, write CSV
     validate-field  assumption constants of the configured kernel/grid
     report          full predict -> simulate -> estimate run with outputs
+
+`simulate` and the simulate stage of `report` are one function,
+`harness.simulate`; `boxdim` counts boxes on the same path 0.
 
 Common flags: --config FILE, --seed N, --out DIR, --threads K, --json.
 The default thread count can also be set with EIGENCOLLIDE_THREADS.
@@ -37,6 +40,7 @@ from .harness import (
     field_report,
     parse_config,
     run,
+    simulate,
 )
 from .sde import dyson_paths, wishart_paths
 from .theory import CollisionPattern, HurstVector, SpectralKind, dichotomy
@@ -201,18 +205,8 @@ def _predict(args) -> int:
 
 def _simulate(args) -> int:
     cfg = _load_config(args)
-    from .matfield import sample_ensemble
-    from .spectra import pattern_gap_values, spectral_path
-
-    mat = sample_ensemble(cfg.ensemble(), cfg.time_grid(), cfg.seed, path_index=0)
-    spath = spectral_path(mat, cfg.spectral_kind)
-    gaps = pattern_gap_values(spath.values, cfg.collision_pattern())
-    payload = {
-        "spectrum_min": float(spath.values.min()),
-        "spectrum_max": float(spath.values.max()),
-        "min_pattern_gap": float(gaps.min()),
-        "grid_points": int(np.prod(cfg.resolution)),
-    }
+    payload, _, _ = simulate(cfg)
+    payload["grid_points"] = int(np.prod(cfg.resolution))
     if args.dump_field:
         dump_field_csv(cfg, args.dump_field)
         payload["field_csv"] = args.dump_field
@@ -281,6 +275,8 @@ def _boxdim(args) -> int:
 
 def _sde(args) -> int:
     d = args.d
+    if args.x0 and len(args.x0) != d:
+        raise ConfigError("--x0 has %d start positions but --d is %d" % (len(args.x0), d))
     x0 = np.asarray(args.x0, dtype=float) if args.x0 else np.zeros(d)
     seed = args.seed if args.seed is not None else 0
     try:

@@ -13,7 +13,12 @@ size: a grid point is marked when its gap is at most kappa * delta^H with
 H the largest (smoothest-direction) regularity exponent.  The field moves
 about delta^H across a box of side delta, so a fixed threshold would
 overestimate the dimension.  Box counting is a numerical proxy for the
-covering dimension; no capacity lower bound is attempted.
+covering dimension; no capacity lower bound is attempted.  The path is
+Monte Carlo path 0: `harness.run` draws it once, in its simulate stage,
+and passes its gaps to `box_count_dimension` and the estimate to
+`verdict_experiment`.  `collision_prob` still draws path 0 again as one
+of its paths; threading it through would add a parameter to save 1/paths
+of the work.
 
 Paths are independent across workers and the reduction is ordered by path
 index, so results are identical for any thread count.
@@ -41,7 +46,6 @@ __all__ = [
     "box_dim",
     "box_count_dimension",
     "verdict_experiment",
-    "path_min_gap",
 ]
 
 _Z95 = 1.959963984540054
@@ -108,19 +112,6 @@ class BoxDimEstimate:
         }
 
 
-def path_min_gap(
-    spec: EnsembleSpec,
-    pattern: CollisionPattern,
-    kind: SpectralKind,
-    grid: TimeGrid,
-    seed: int,
-    path_index: int,
-) -> float:
-    """Smallest pattern gap over the grid for one Monte Carlo path."""
-    gaps = _path_gaps(spec, pattern, kind, grid, seed, path_index)
-    return float(gaps.min())
-
-
 def _path_gaps(spec, pattern, kind, grid, seed, path_index) -> np.ndarray:
     mat = sample_ensemble(spec, grid, seed, path_index)
     spath = spectral_path(mat, kind)
@@ -151,7 +142,7 @@ def collision_prob(
 
     def one(p: int) -> float:
         try:
-            return path_min_gap(spec, pattern, kind, grid, seed, p)
+            return float(_path_gaps(spec, pattern, kind, grid, seed, p).min())
         except NumericalError:
             return math.nan
 
@@ -255,6 +246,18 @@ def box_count_dimension(
     )
 
 
+def _box_holder(spec: EnsembleSpec) -> float:
+    """Threshold exponent of the isotropic box count: the largest Hurst
+    exponent.  Refuses H_N / H_1 > 2, which the isotropic boxes cannot
+    follow."""
+    hs = spec.kernel.hurst.as_floats()
+    if max(hs) / min(hs) > 2.0:
+        raise ValueError(
+            "anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting"
+        )
+    return max(hs)
+
+
 def box_dim(
     spec: EnsembleSpec,
     pattern: CollisionPattern,
@@ -263,20 +266,16 @@ def box_dim(
     seed: int,
     delta_ladder,
     kappa: float = 1.0,
-    path_index: int = 0,
 ) -> BoxDimEstimate:
-    """Box-counting dimension of the collision-time set on a single path.
+    """Box-counting dimension of the collision-time set on Monte Carlo
+    path 0, the path `harness.run` summarizes in its simulate stage.
 
     Anisotropic exponent vectors with H_N / H_1 > 2 are refused: isotropic
     boxes would then need axis-specific scaling the estimator does not do.
     """
-    hs = spec.kernel.hurst.as_floats()
-    if max(hs) / min(hs) > 2.0:
-        raise ValueError(
-            "anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting"
-        )
-    gaps = _path_gaps(spec, pattern, kind, grid, seed, path_index)
-    return box_count_dimension(gaps, grid, delta_ladder, holder=max(hs), kappa=kappa)
+    holder = _box_holder(spec)
+    gaps = _path_gaps(spec, pattern, kind, grid, seed, 0)
+    return box_count_dimension(gaps, grid, delta_ladder, holder=holder, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -325,16 +324,13 @@ def verdict_experiment(
     n_paths: int,
     seed: int,
     eps_ladder,
-    delta_ladder=None,
-    kappa: float = 1.0,
+    boxdim: BoxDimEstimate | None = None,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Bundle the exact prediction with both estimators and agreement flags."""
+    """Bundle the exact prediction with the Monte Carlo estimate and
+    agreement flags; `boxdim`, when given, is carried into the report."""
     theory = dichotomy(spec.kernel.hurst, kind, pattern)
     mc = collision_prob(spec, pattern, kind, grid, eps_ladder, n_paths, seed, threads)
-    boxdim = None
-    if delta_ladder is not None:
-        boxdim = box_dim(spec, pattern, kind, grid, seed, delta_ladder, kappa)
     behavior = classify_mc(mc)
     expected = (
         "consistent-with-zero"

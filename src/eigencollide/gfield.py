@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
@@ -36,7 +35,6 @@ from .theory import HurstVector
 __all__ = [
     "FactorizationError",
     "TimeGrid",
-    "KernelKind",
     "KernelSpec",
     "FieldSample",
     "AssumptionReport",
@@ -122,16 +120,11 @@ class TimeGrid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-class KernelKind(Enum):
-    FBM_SHEET = "fbm-sheet"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Covariance spec: product of per-axis fractional Brownian kernels."""
 
     hurst: HurstVector
-    kind: KernelKind = KernelKind.FBM_SHEET
 
     @property
     def ndim(self) -> int:

@@ -28,7 +28,6 @@ __all__ = [
     "assemble_selfadjoint",
     "assemble_rect",
     "affine",
-    "affine_inverse",
 ]
 
 _PART_REAL = 0
@@ -210,25 +209,6 @@ def affine(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
             values = values @ spec.transform_right
         if spec.shift is not None:
             values = values + spec.shift
-    return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values), beta=path.beta)
-
-
-def affine_inverse(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
-    """Inverse of `affine`; exists because the transforms are invertible."""
-    values = path.values
-    if spec.shift is not None:
-        values = values - spec.shift
-    t = spec.transform
-    if spec.is_square:
-        if t is not None:
-            tinv = np.linalg.inv(t)
-            values = tinv @ values @ np.conj(tinv.T)
-            values = 0.5 * (values + np.conj(values.swapaxes(-1, -2)))
-    else:
-        if t is not None:
-            values = np.linalg.inv(t) @ values
-        if spec.transform_right is not None:
-            values = values @ np.linalg.inv(spec.transform_right)
     return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values), beta=path.beta)
 
 

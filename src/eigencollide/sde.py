@@ -18,9 +18,10 @@ reproducible from (seed, dt schedule) alone.  Refinement helps because it
 re-evaluates the singular drift mid-step, not because it adds randomness.
 
 Start states at (or within noise of) coincidence are nudged apart by a
-1e-8 spread, and the path runners prepend a geometric warm-up ramp to the
-step schedule so the first steps satisfy the impulse bound at the start
-state; halving alone cannot bridge from dt to the fully collided scale.
+1e-8 spread, refused where the spread rounds away (from about 1e8), and
+the path runners prepend a geometric warm-up ramp to the step schedule so
+the first steps satisfy the impulse bound at the start state; halving
+alone cannot bridge from dt to the fully collided scale.
 
 The path runners integrate up to 1024 paths at once.  Their state is
 particle-major, shape (d, paths), so each per-particle operation is one
@@ -93,10 +94,20 @@ class ParticleState:
 
 
 def nudge_apart(positions, spread: float = _NUDGE) -> np.ndarray:
-    """Separate coinciding start positions; the drift is singular there."""
+    """Separate coinciding start positions; the drift is singular there.
+
+    Raises `ValueError` when the spread rounds away, as it does for tied
+    starts of magnitude about 1e8 and above: a zero gap would make the
+    warm-up ramp of the path runners take steps of length 0 forever.
+    """
     x = np.asarray(positions, dtype=float).copy()
     if np.any(np.diff(x) <= 0):
         x = np.sort(x) + spread * np.arange(len(x))
+        if np.any(np.diff(x) <= 0):
+            raise ValueError(
+                "start positions stay tied after a nudge of %g; "
+                "separate them by hand" % spread
+            )
     return x
 
 
@@ -314,7 +325,7 @@ def dyson_paths(
 
 
 def wishart_paths(
-    x0, t1: float, n_steps: int, n: int, seed: int, n_paths: int, beta: int = 1
+    x0, t1: float, n_steps: int, n: int, seed: int, n_paths: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal Gram spectra of independent squared-Bessel-type paths."""
     x0 = nudge_apart(np.clip(np.asarray(x0, dtype=float), 0.0, None))

@@ -14,14 +14,15 @@ raise `NumericalError` naming the offending batch indices.
 multiple collision: the minimum over disjoint index blocks of the given
 sizes of the largest within-block range.  Its zero set is exactly the
 collision event.  On sorted data the optimal blocks are contiguous, which
-the dynamic program exploits; the brute-force equivalence is defended by a
-property test rather than a proof here.
+one dynamic program exploits: `pattern_gap_values` reads the gap of a
+whole batch off its table, and `pattern_gap` backtracks the same table for
+the witness blocks.  The brute-force equivalence is defended by a property
+test rather than a proof here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -195,11 +196,16 @@ def _size_counts(pattern: CollisionPattern):
     return tuple(int(s) for s in sizes), tuple(int(c) for c in counts)
 
 
-def pattern_gap_values(spectra, pattern: CollisionPattern) -> np.ndarray:
-    """Batched pattern-gap values (no witness) for (..., n) sorted spectra.
+def _gap_table(spectra, pattern: CollisionPattern):
+    """(sizes, counts, dp) of the pattern-gap DP over (..., n) sorted spectra.
 
-    Dynamic program over contiguous blocks of the sorted data; identical
-    block sizes are collapsed into counts so the state space stays tiny.
+    dp[state][i] is the min over placements of the blocks left in `state`
+    (a count per block size) at indices >= i of the largest within-block
+    range: one row over the flattened batch per (state, i), or a scalar
+    shared by every spectrum (0 with no block left, inf with no room
+    left).  Rows are never written after they are stored, so later rows
+    may share them.  Identical block sizes are collapsed into counts so
+    the state space stays tiny.
     """
     arr = np.asarray(spectra, dtype=float)
     n = arr.shape[-1]
@@ -207,14 +213,7 @@ def pattern_gap_values(spectra, pattern: CollisionPattern) -> np.ndarray:
         raise ValueError("pattern does not fit in a spectrum of length %d" % n)
     _check_sorted(arr)
     flat = arr.reshape(-1, n)
-    nb = flat.shape[0]
     sizes, counts = _size_counts(pattern)
-
-    # dp[state][i] = min over placements of the remaining blocks in
-    # `state` using indices >= i of the max within-block range: one batch
-    # row per (state, i), or a scalar shared by every matrix (0 with no
-    # block left, inf with no room left).  Rows are never written after
-    # they are stored, so later rows may share them.
     states = sorted(
         _iproduct(*[range(c + 1) for c in counts]),
         key=lambda st: sum(s * k for s, k in zip(sizes, st)),
@@ -237,57 +236,46 @@ def pattern_gap_values(spectra, pattern: CollisionPattern) -> np.ndarray:
                 best = cand if best is None else np.minimum(best, cand, out=cand)
             rows[i] = best
         dp[st] = rows
+    return sizes, counts, dp
+
+
+def pattern_gap_values(spectra, pattern: CollisionPattern) -> np.ndarray:
+    """Batched pattern-gap values (no witness) for (..., n) sorted spectra."""
+    arr = np.asarray(spectra, dtype=float)
+    _, counts, dp = _gap_table(arr, pattern)
     return dp[counts][0].reshape(arr.shape[:-1])
 
 
 def pattern_gap(spectrum, pattern: CollisionPattern) -> GapStatistic:
     """Pattern-gap of one sorted spectrum, with the witness blocks.
 
-    Ties are broken toward the lexicographically smallest starting indices
-    and then toward the smallest block size, so reports are deterministic.
+    The witness backtracks the table of `pattern_gap_values`.  Ties are
+    broken toward the lexicographically smallest starting indices and then
+    toward the smallest block size, so reports are deterministic.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1:
         raise ValueError("expected a single spectrum")
-    n = lam.shape[0]
-    if sum(pattern.multiplicities) > n:
-        raise ValueError("pattern does not fit in a spectrum of length %d" % n)
-    _check_sorted(lam)
-    sizes, counts = _size_counts(pattern)
-    full = counts
+    sizes, counts, dp = _gap_table(lam[None, :], pattern)
 
-    @lru_cache(maxsize=None)
-    def best(i: int, st: tuple) -> float:
-        if all(k == 0 for k in st):
-            return 0.0
-        need = sum(s * k for s, k in zip(sizes, st))
-        if n - i < need:
-            return np.inf
-        out = best(i + 1, st)
-        for which, (s, k) in enumerate(zip(sizes, st)):
-            if k == 0 or i + s > n:
-                continue
-            rest = st[:which] + (k - 1,) + st[which + 1 :]
-            out = min(out, max(lam[i + s - 1] - lam[i], best(i + s, rest)))
-        return out
+    def best(st, i):  # table entries are 1-row arrays or shared scalars
+        return np.ravel(dp[st][i])[0]
 
-    value = best(0, full)
-    # Backtrack, preferring to place a block at the earliest index where
-    # doing so still attains the optimum.
+    value = best(counts, 0)
+    # Place a block at the earliest index where doing so still attains the
+    # optimum.
     blocks: list[tuple[int, int]] = []  # (start, size)
-    i, st = 0, full
-    while not all(k == 0 for k in st):
-        placed = False
+    i, st = 0, counts
+    while any(st):
         for which, (s, k) in enumerate(zip(sizes, st)):
-            if k == 0 or i + s > n:
+            if k == 0 or i + s > len(lam):
                 continue
             rest = st[:which] + (k - 1,) + st[which + 1 :]
-            if max(lam[i + s - 1] - lam[i], best(i + s, rest)) <= value:
+            if max(lam[i + s - 1] - lam[i], best(rest, i + s)) <= value:
                 blocks.append((i, s))
                 i, st = i + s, rest
-                placed = True
                 break
-        if not placed:
+        else:
             i += 1
 
     # Hand blocks back in pattern order, matching sizes first-come.

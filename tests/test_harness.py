@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from eigencollide.cli import cli
@@ -13,6 +14,7 @@ from eigencollide.harness import (
     render_config,
     run,
 )
+from eigencollide.matfield import sample_ensemble
 
 MINIMAL = """
 kind: real-eigen
@@ -160,6 +162,65 @@ kappa: 0.05
     assert (tmp_path / "boxes.csv").exists()
 
 
+BOXED = """
+kind: real-eigen
+shape: [2]
+pattern: [2]
+hurst: ["1/2"]
+resolution: [64]
+paths: 100
+seed: 4
+eps_ladder: [0.4, 0.2]
+delta_ladder: [0.25, 0.125, 0.0625]
+boxdim: true
+"""
+
+
+def _stage_warnings(text, tmp_path):
+    rec = run(parse_config(text), out_dir=str(tmp_path))
+    assert "estimate" not in rec.outputs
+    assert not (tmp_path / "hits.csv").exists()
+    return list(rec.warnings)
+
+
+def test_run_boxdim_path0_numerical_failure_fails_estimate(tmp_path, monkeypatch):
+    # The box count uses path 0's gaps from the simulate stage, so a path 0
+    # the eigensolver rejects fails the estimate stage with the same message.
+    def planted(spec, grid, seed, path_index=0):
+        path = sample_ensemble(spec, grid, seed, path_index)
+        if path_index != 0:
+            return path
+        values = path.values.copy()
+        values[5, 0, 1] = np.nan
+        return dataclasses.replace(path, values=values)
+
+    monkeypatch.setattr("eigencollide.harness.sample_ensemble", planted)
+    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", planted)
+    warnings = _stage_warnings(BOXED, tmp_path)
+    assert len(warnings) == 2
+    message = warnings[0].removeprefix("simulate failed: ")
+    assert "non-finite entries" in message and "(5,)" in message
+    assert warnings[1] == "estimate failed: " + message
+
+
+def test_run_boxdim_oversize_failure_fails_estimate(tmp_path):
+    text = BOXED.replace("shape: [2]", "shape: [65]").replace("resolution: [64]", "resolution: [2]")
+    message = "spectra are supported for d <= 64"
+    assert _stage_warnings(text, tmp_path) == [
+        "simulate failed: " + message,
+        "estimate failed: " + message,
+    ]
+
+
+def test_run_boxdim_strong_anisotropy_fails_estimate(tmp_path):
+    text = BOXED.replace('hurst: ["1/2"]', 'hurst: ["1/4", "3/4"]').replace(
+        "resolution: [64]", "resolution: [8, 8]"
+    )
+    assert _stage_warnings(text, tmp_path) == [
+        "estimate failed: anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting"
+    ]
+
+
 # -- CLI ----------------------------------------------------------------
 
 
@@ -228,6 +289,9 @@ def test_cli_simulate(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["grid_points"] == 1024
     assert payload["min_pattern_gap"] >= 0
+    # the simulate command prints the simulate stage of `report`
+    summary = run(parse_config(MINIMAL)).outputs["simulate"]
+    assert payload == {**summary, "grid_points": 1024}
 
 
 def test_cli_collide_prob_overrides(tmp_path, capsys):
@@ -298,6 +362,8 @@ def test_cli_sde_csv(tmp_path, capsys):
         (["--steps", "0"], "n_steps must be >= 1"),
         (["--paths", "0"], "n_paths must be >= 1"),
         (["--model", "wishart", "--d", "3", "--n", "2"], "need n >= number of particles"),
+        (["--d", "2", "--x0", "0,1,2"], "--x0 has 3 start positions but --d is 2"),
+        (["--x0", "1e9,1e9"], "start positions stay tied"),
     ],
 )
 def test_cli_sde_bad_arguments_exit_2(flags, named, capsys):

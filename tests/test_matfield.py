@@ -6,8 +6,8 @@ import pytest
 from eigencollide.gfield import KernelSpec, TimeGrid
 from eigencollide.matfield import (
     EnsembleSpec,
+    MatrixPath,
     affine,
-    affine_inverse,
     assemble_rect,
     assemble_selfadjoint,
     sample_ensemble,
@@ -16,6 +16,26 @@ from eigencollide.theory import HurstVector
 
 KERN = KernelSpec(HurstVector(["1/2"]))
 GRID = TimeGrid.unit([2])  # t = 1 is grid point 0; C(1,1) = 1
+
+
+def affine_inverse(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
+    """Inverse of `affine`, the oracle of the bijection tests; it exists
+    because the transforms are invertible."""
+    values = path.values
+    if spec.shift is not None:
+        values = values - spec.shift
+    t = spec.transform
+    if spec.is_square:
+        if t is not None:
+            tinv = np.linalg.inv(t)
+            values = tinv @ values @ np.conj(tinv.T)
+            values = 0.5 * (values + np.conj(values.swapaxes(-1, -2)))
+    else:
+        if t is not None:
+            values = np.linalg.inv(t) @ values
+        if spec.transform_right is not None:
+            values = values @ np.linalg.inv(spec.transform_right)
+    return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values), beta=path.beta)
 
 
 def draws_selfadjoint(beta, d, m, seed=5):

@@ -311,6 +311,18 @@ def test_nudge_apart():
     assert np.array_equal(nudge_apart(spread), spread)
 
 
+@pytest.mark.parametrize("x0", [[1e9, 1e9], [1e20, 1e20], [1e8, 1e8, 1e8]])
+def test_ties_the_nudge_cannot_separate_are_refused(x0):
+    # the 1e-8 spread rounds away there; a zero gap used to make the
+    # warm-up ramp take steps of length 0 forever
+    with pytest.raises(ValueError, match="stay tied"):
+        nudge_apart(x0)
+    with pytest.raises(ValueError, match="stay tied"):
+        dyson_paths(np.array(x0), 1.0, 10, 1, 0, 2)
+    with pytest.raises(ValueError, match="stay tied"):
+        wishart_paths(np.array(x0), 1.0, 10, 3, 0, 2)
+
+
 # -- fractional drifts --------------------------------------------------
 
 

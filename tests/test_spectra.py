@@ -1,6 +1,6 @@
 """Eigensolver and pattern-gap checks against independent oracles."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -301,8 +301,8 @@ def test_pattern_gap_matches_brute_force():
 
 
 def test_pattern_gap_values_equal_to_witness_dp():
-    # Both DPs only subtract, take max and take min of the same values, so
-    # the batched rows must agree with the memoised DP exactly, ties included.
+    # The DP and the brute force only subtract, take max and take min of the
+    # same values, so they must agree exactly, ties included.
     rng = np.random.default_rng(4711)
     for n in range(2, 7):
         spectra = np.sort(rng.integers(0, 5, size=(60, n)) * 0.25 + rng.random((60, 1)), axis=1)
@@ -310,8 +310,80 @@ def test_pattern_gap_values_equal_to_witness_dp():
         for mult in all_patterns(n):
             p = CollisionPattern(mult, n)
             got = pattern_gap_values(spectra, p)
-            want = np.array([pattern_gap(lam, p).value for lam in spectra])
+            want = np.array([brute_force_gap(lam, mult) for lam in spectra])
             assert np.all(got == want), (n, mult)
+            assert all(pattern_gap(lam, p).value == w for lam, w in zip(spectra, want))
+
+
+# Witness start indices, in pattern order, recorded from the memoised DP
+# that `pattern_gap` used before it backtracked the table of
+# `pattern_gap_values`, on spectra full of ties, for every pattern with
+# n <= 6 in every order.
+WITNESS_STARTS = {
+    (1.0, 1.0): {(2,): (0,)},
+    (0.25, 0.5): {(2,): (0,)},
+    (0.0, 0.75): {(2,): (0,)},
+    (1.0, 1.0, 1.0): {(2,): (0,), (3,): (0,)},
+    (0.25, 0.5, 0.75): {(2,): (0,), (3,): (0,)},
+    (0.0, 0.5, 0.75): {(2,): (1,), (3,): (0,)},
+    (1.0, 1.0, 1.0, 1.0): {(2,): (0,), (2, 2): (0, 2), (3,): (0,), (4,): (0,)},
+    (0.0, 0.25, 0.25, 0.75): {(2,): (1,), (2, 2): (0, 2), (3,): (0,), (4,): (0,)},
+    (0.0, 0.0, 0.25, 0.75): {(2,): (0,), (2, 2): (0, 2), (3,): (0,), (4,): (0,)},
+    (1.0, 1.0, 1.0, 1.0, 1.0): {
+        (2,): (0,), (2, 2): (0, 2), (2, 3): (0, 2), (3, 2): (2, 0),
+        (3,): (0,), (4,): (0,), (5,): (0,),
+    },
+    (0.0, 0.25, 0.25, 0.25, 0.75): {
+        (2,): (1,), (2, 2): (0, 2), (2, 3): (0, 2), (3, 2): (2, 0),
+        (3,): (1,), (4,): (0,), (5,): (0,),
+    },
+    (0.0, 0.0, 0.25, 0.5, 0.75): {
+        (2,): (0,), (2, 2): (0, 2), (2, 3): (3, 0), (3, 2): (0, 3),
+        (3,): (0,), (4,): (0,), (5,): (0,),
+    },
+    (0.0, 0.5, 0.5, 0.5, 1.0): {
+        (2,): (1,), (2, 2): (0, 2), (2, 3): (0, 2), (3, 2): (2, 0),
+        (3,): (1,), (4,): (0,), (5,): (0,),
+    },
+    (1.0, 1.0, 1.0, 1.0, 1.0, 1.0): {
+        (2,): (0,), (2, 2): (0, 2), (2, 2, 2): (0, 2, 4), (2, 3): (0, 2),
+        (3, 2): (2, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (0,),
+        (3, 3): (0, 3), (4,): (0,), (5,): (0,), (6,): (0,),
+    },
+    (0.0, 0.0, 0.5, 0.5, 0.75, 0.75): {
+        (2,): (0,), (2, 2): (0, 2), (2, 2, 2): (0, 2, 4), (2, 3): (0, 2),
+        (3, 2): (2, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (2,),
+        (3, 3): (0, 3), (4,): (2,), (5,): (0,), (6,): (0,),
+    },
+    (0.0, 0.0, 0.25, 0.25, 0.75, 0.75): {
+        (2,): (0,), (2, 2): (0, 2), (2, 2, 2): (0, 2, 4), (2, 3): (4, 0),
+        (3, 2): (0, 4), (2, 4): (4, 0), (4, 2): (0, 4), (3,): (0,),
+        (3, 3): (0, 3), (4,): (0,), (5,): (0,), (6,): (0,),
+    },
+    (0.0, 0.25, 0.25, 0.5, 0.5, 0.75): {
+        (2,): (1,), (2, 2): (1, 3), (2, 2, 2): (0, 2, 4), (2, 3): (0, 2),
+        (3, 2): (2, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (0,),
+        (3, 3): (0, 3), (4,): (1,), (5,): (0,), (6,): (0,),
+    },
+    (0.0, 0.0, 0.0, 0.5, 0.5, 0.5): {
+        (2,): (0,), (2, 2): (0, 3), (2, 2, 2): (0, 2, 4), (2, 3): (0, 3),
+        (3, 2): (3, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (0,),
+        (3, 3): (0, 3), (4,): (0,), (5,): (0,), (6,): (0,),
+    },
+}
+
+
+@pytest.mark.parametrize("lam", list(WITNESS_STARTS))
+def test_pattern_gap_witness_pinned_on_ties(lam):
+    starts = WITNESS_STARTS[lam]
+    n = len(lam)
+    assert set(starts) == {
+        q for mult in all_patterns(n) for q in permutations(mult)
+    }
+    for mult, first in starts.items():
+        g = pattern_gap(np.array(lam), CollisionPattern(mult, n))
+        assert g.witness == tuple(tuple(range(a, a + l)) for a, l in zip(first, mult))
+        assert g.value == brute_force_gap(np.array(lam), mult)
 
 
 def test_pattern_gap_values_shapes():
