@@ -1,20 +1,21 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands, with the shared flags each one takes besides its own:
 
-    predict         exact dichotomy verdict and dimension for one instance
-    simulate        draw Monte Carlo path 0, print its spectral summary
-    collide-prob    Monte Carlo hit fractions over the eps ladder
-    boxdim          box-counting dimension of one path's collision set
-    sde             integrate the eigenvalue SDE systems, write CSV
-    validate-field  assumption constants of the configured kernel/grid
-    report          full predict -> simulate -> estimate run with outputs
+    predict         exact verdict and dimension         --config --json
+    simulate        Monte Carlo path 0's spectra        --config --seed --json
+    collide-prob    hit fractions over the eps ladder   --config --seed --threads --json
+    boxdim          box count of path 0's collisions    --config --seed --json
+    sde             eigenvalue SDE paths, CSV           --seed --out --json
+    validate-field  assumption constants of the grid    --config --seed --json
+    report          predict -> simulate -> estimate     --config --seed --out --threads --json
 
+A flag a subcommand does not declare is a usage error (exit 2), and so
+is a run flag next to `report --from DIR`, which re-prints a finished run.
 `simulate` and the simulate stage of `report` are one function,
 `harness.simulate`; `boxdim` counts boxes on the same path 0.
-
-Common flags: --config FILE, --seed N, --out DIR, --threads K, --json.
-The default thread count can also be set with EIGENCOLLIDE_THREADS.
+EIGENCOLLIDE_THREADS sets the thread count of the subcommands with
+--threads where neither the config nor --threads does.
 """
 
 from __future__ import annotations
@@ -67,6 +68,19 @@ def _default_threads() -> int:
     return threads
 
 
+_SHARED = {
+    "--config": dict(help="YAML experiment config"),
+    "--seed": dict(type=int, help="experiment seed (overrides the config's)"),
+    "--out": dict(help="output directory (report) or CSV file (sde)"),
+    "--threads": dict(type=int, help="worker threads"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
+
+# argument -> config field, for every flag that overrides the config
+_OVERRIDES = {"seed": "seed", "threads": "threads", "paths": "paths", "grid": "resolution",
+              "eps_ladder": "eps_ladder", "delta_ladder": "delta_ladder", "kappa": "kappa"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="eigencollide",
@@ -75,39 +89,34 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     subs = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="YAML experiment config")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="output directory or file")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def sub(name, summary, shared):
+        p = subs.add_parser(name, help=summary)
+        for flag in shared.split():
+            p.add_argument(flag, **_SHARED[flag])
+        return p
 
-    p = subs.add_parser("predict", help="exact verdict and dimension")
-    common(p)
+    p = sub("predict", "exact verdict and dimension", "--config --json")
     p.add_argument("--beta", type=int, choices=(1, 2))
     p.add_argument("--d", type=int, help="square dimension (eigenvalue kinds)")
     p.add_argument("--shape", type=_ints, help="d1,d2 (singular-value kinds)")
     p.add_argument("--pattern", type=_ints, help="multiplicities, e.g. 2,3")
     p.add_argument("--hurst", help="comma-separated rationals, e.g. 1/2,1/2")
 
-    p = subs.add_parser("simulate", help="draw one path, print spectral summary")
-    common(p)
+    p = sub("simulate", "draw one path, print spectral summary", "--config --seed --json")
     p.add_argument("--dump-field", help="write one scalar-field draw as CSV")
 
-    p = subs.add_parser("collide-prob", help="Monte Carlo collision probability")
-    common(p)
+    p = sub("collide-prob", "Monte Carlo collision probability",
+            "--config --seed --threads --json")
     p.add_argument("--paths", type=int, help="override path count")
     p.add_argument("--grid", type=_ints, help="override per-axis resolution")
     p.add_argument("--eps-ladder", type=_floats, help="override eps ladder")
 
-    p = subs.add_parser("boxdim", help="box-counting dimension of one path")
-    common(p)
+    p = sub("boxdim", "box-counting dimension of one path", "--config --seed --json")
     p.add_argument("--grid", type=_ints, help="override per-axis resolution")
     p.add_argument("--delta-ladder", type=_floats, help="override delta ladder")
     p.add_argument("--kappa", type=float, help="threshold prefactor")
 
-    p = subs.add_parser("sde", help="integrate the eigenvalue SDE systems")
-    common(p)
+    p = sub("sde", "integrate the eigenvalue SDE systems", "--seed --out --json")
     p.add_argument("--model", choices=("dyson", "wishart"), default="dyson")
     p.add_argument("--d", type=int, default=2, help="number of particles")
     p.add_argument("--beta", type=int, choices=(1, 2), default=1)
@@ -117,46 +126,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--x0", type=_floats, help="start positions (default zeros)")
 
-    p = subs.add_parser("validate-field", help="assumption constants on a grid")
-    common(p)
+    p = sub("validate-field", "assumption constants on a grid", "--config --seed --json")
     p.add_argument("--dump-field", help="write one scalar-field draw as CSV")
 
-    p = subs.add_parser("report", help="full run: predict, simulate, estimate")
-    common(p)
+    p = sub("report", "full run: predict, simulate, estimate",
+            "--config --seed --out --threads --json")
     p.add_argument("--from", dest="from_dir", help="re-print an existing run directory")
 
     return top
 
 
-def _load_config(args, require=True) -> ExperimentConfig | None:
+def _load_config(args) -> ExperimentConfig:
     if args.config is None:
-        if require:
-            raise ConfigError("this command needs --config")
-        return None
+        raise ConfigError("this command needs --config")
     text = Path(args.config).read_text()
     cfg = parse_config(text)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if getattr(args, "paths", None) is not None:
-        overrides["paths"] = args.paths
-    if getattr(args, "grid", None) is not None:
-        overrides["resolution"] = args.grid
-    if getattr(args, "eps_ladder", None) is not None:
-        overrides["eps_ladder"] = args.eps_ladder
-    if getattr(args, "delta_ladder", None) is not None:
-        overrides["delta_ladder"] = args.delta_ladder
-        overrides["boxdim"] = True
-    if getattr(args, "kappa", None) is not None:
-        overrides["kappa"] = args.kappa
+    overrides = {
+        field: getattr(args, name)
+        for name, field in _OVERRIDES.items()
+        if getattr(args, name, None) is not None
+    }
     if overrides:
         cfg = replace(cfg, **overrides)
         check_config(cfg)
-    # The environment default applies only where neither the config nor
-    # --threads sets a thread count; parse_config has accepted the mapping.
-    if getattr(args, "threads", None) is None and "threads" not in yaml.safe_load(text):
+    # The environment default applies only where the subcommand takes
+    # --threads and neither the config nor --threads sets a thread count;
+    # parse_config has accepted the mapping.
+    if "threads" in args and args.threads is None and "threads" not in yaml.safe_load(text):
         cfg = replace(cfg, threads=_default_threads())
     return cfg
 
@@ -186,12 +182,7 @@ def _predict(args) -> int:
             print("predict needs %s (or --config)" % ", ".join(missing), file=sys.stderr)
             return 2
         singular = args.shape is not None
-        kind = {
-            (1, False): SpectralKind.REAL_EIGEN,
-            (2, False): SpectralKind.COMPLEX_EIGEN,
-            (1, True): SpectralKind.REAL_SINGULAR,
-            (2, True): SpectralKind.COMPLEX_SINGULAR,
-        }[(args.beta, singular)]
+        kind = next(k for k in SpectralKind if k.beta == args.beta and k.singular == singular)
         ambient = args.shape[0] if singular else args.d
         hurst = HurstVector([Fraction(h) for h in args.hurst.split(",")])
         pattern = CollisionPattern(args.pattern, ambient=ambient)
@@ -336,6 +327,11 @@ def _validate_field(args) -> int:
 
 def _report(args) -> int:
     if args.from_dir:
+        given = [f for f in ("config", "seed", "threads", "out") if getattr(args, f) is not None]
+        if given:
+            flags = ", ".join("--" + f for f in given)
+            print("report --from takes no %s" % flags, file=sys.stderr)
+            return 2
         record_path = Path(args.from_dir) / "record.json"
         if not record_path.exists():
             print("no record.json under %s" % args.from_dir, file=sys.stderr)

@@ -112,6 +112,24 @@ class BoxDimEstimate:
         }
 
 
+def _check_matches(spec: EnsembleSpec, pattern: CollisionPattern, kind: SpectralKind) -> None:
+    """Refuse a spectral kind or pattern stated for another ensemble, whose
+    theory the estimate would otherwise report."""
+    if kind.beta != spec.beta:
+        raise ValueError(
+            "%s needs beta = %d, the ensemble has beta = %d" % (kind.value, kind.beta, spec.beta)
+        )
+    if kind.singular == spec.is_square:
+        raise ValueError(
+            "%s needs a %s ensemble" % (kind.value, "rectangular" if kind.singular else "square")
+        )
+    if pattern.ambient != spec.dims[0]:
+        raise ValueError(
+            "pattern ambient %d does not match the ensemble's %d spectral values"
+            % (pattern.ambient, spec.dims[0])
+        )
+
+
 def _path_gaps(spec, pattern, kind, grid, seed, path_index) -> np.ndarray:
     mat = sample_ensemble(spec, grid, seed, path_index)
     spath = spectral_path(mat, kind)
@@ -132,8 +150,11 @@ def collision_prob(
 
     Paths on which the eigensolver fails are counted in `n_failed` and
     excluded from the fractions, never silently dropped.  Results are a
-    function of (seed, config) only.
+    function of (seed, config) only.  A `kind` or `pattern` that does not
+    fit `spec` (beta, square vs rectangular, ambient dimension) raises
+    ValueError.
     """
+    _check_matches(spec, pattern, kind)
     eps = tuple(float(e) for e in eps_ladder)
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
@@ -272,7 +293,9 @@ def box_dim(
 
     Anisotropic exponent vectors with H_N / H_1 > 2 are refused: isotropic
     boxes would then need axis-specific scaling the estimator does not do.
+    Inputs that do not fit `spec` raise ValueError, as in `collision_prob`.
     """
+    _check_matches(spec, pattern, kind)
     holder = _box_holder(spec)
     gaps = _path_gaps(spec, pattern, kind, grid, seed, 0)
     return box_count_dimension(gaps, grid, delta_ladder, holder=holder, kappa=kappa)
@@ -328,7 +351,8 @@ def verdict_experiment(
     threads: int = 1,
 ) -> ExperimentReport:
     """Bundle the exact prediction with the Monte Carlo estimate and
-    agreement flags; `boxdim`, when given, is carried into the report."""
+    agreement flags; `boxdim`, when given, is carried into the report.
+    Inputs that do not fit `spec` raise ValueError, as in `collision_prob`."""
     theory = dichotomy(spec.kernel.hurst, kind, pattern)
     mc = collision_prob(spec, pattern, kind, grid, eps_ladder, n_paths, seed, threads)
     behavior = classify_mc(mc)

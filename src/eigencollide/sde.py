@@ -63,6 +63,7 @@ __all__ = [
 _MAX_HALVINGS = 20
 _NUDGE = 1e-8
 _BLOCK_STEPS = 256  # steps of noise drawn per stream at a time
+_CHUNK_PATHS = 1024  # paths integrated at once
 
 
 class CollisionBreakdownError(RuntimeError):
@@ -269,7 +270,7 @@ def _dt_schedule(x0, t1, n_steps, drift_fn) -> np.ndarray:
     return np.concatenate([np.asarray(ramp), rest])
 
 
-def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect, chunk_size=1024):
+def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect):
     if not t1 > 0:
         raise ValueError("t1 must be positive")
     if n_steps < 1:
@@ -282,8 +283,8 @@ def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect, 
     block = min(_BLOCK_STEPS, len(dts))
     out = np.empty((n_paths, d))
     broken = np.zeros(n_paths, dtype=bool)
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
+    for lo in range(0, n_paths, _CHUNK_PATHS):
+        hi = min(lo + _CHUNK_PATHS, n_paths)
         streams = [substream(seed, DOMAIN_SDE, p) for p in range(lo, hi)]
         noise = np.empty((block, d, hi - lo))
         x = np.repeat(x0[:, None], hi - lo, axis=1)

@@ -1,9 +1,12 @@
-"""Every exported name resolves, and so does every attribute the benchmark
-tracer wraps, so that deleting a name cannot silently break either."""
+"""Every exported name resolves, every attribute the benchmark tracer wraps
+exists, and one smoke-size pass of every benchmark workload runs, so that
+deleting or re-signing a name the benchmark uses fails here."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,9 @@ import eigencollide
 MODULES = sorted(
     "eigencollide." + m.name for m in pkgutil.iter_modules(eigencollide.__path__)
 )
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.mark.parametrize("name", ["eigencollide"] + MODULES)
@@ -35,3 +40,20 @@ def test_tracer_boundaries_exist():
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert not missing
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workload_smoke_pass(workload, tmp_path, monkeypatch):
+    # the worker puts perfbench/ and src/ on sys.path; monkeypatch restores it
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("_perfbench_worker", TRACER.with_name("worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    work = worker.Workload(workload, 0, worker.SIZES["smoke"], tmp_path)
+    result, _, _ = work.run_pass(1, "t1")
+    assert result
+    for name, item in result.items():
+        if isinstance(item, dict) and "record" in item:
+            # `run` turns a failing stage into a warning, so check the stages
+            assert set(item["record"].outputs) == {"predict", "simulate", "estimate"}, name
+            assert "record.json" in item["files"], name

@@ -86,6 +86,27 @@ def test_collision_prob_validates():
         collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (0.2, 0.1), 50, 1)
 
 
+MISMATCHED = {
+    "complex-kind-on-beta-1": (PAT2, SpectralKind.COMPLEX_EIGEN, "needs beta = 2"),
+    "singular-kind-on-square": (PAT2, SpectralKind.REAL_SINGULAR, "needs a rectangular"),
+    "ambient-5-on-d-2": (CollisionPattern((2,), 5), RE, "pattern ambient 5"),
+}
+ESTIMATORS = {
+    "collision_prob": lambda *a: collision_prob(*a, (0.2, 0.1), 100, 1),
+    "box_dim": lambda *a: box_dim(*a, 0, [0.5, 0.25]),
+    "verdict_experiment": lambda *a: verdict_experiment(*a, 100, 1, (0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+@pytest.mark.parametrize("case", sorted(MISMATCHED))
+def test_estimators_reject_kind_or_pattern_of_another_ensemble(case, estimator):
+    # each of these would run and report the theory of another problem
+    pattern, kind, named = MISMATCHED[case]
+    with pytest.raises(ValueError, match=named):
+        ESTIMATORS[estimator](ensemble(["1/2"]), pattern, kind, TimeGrid.unit([8]))
+
+
 def test_min_gap_nonincreasing_under_refinement():
     # same draw, nested evaluation sets: refinement can only lower the min
     grid = TimeGrid.unit([257])

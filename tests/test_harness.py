@@ -1,12 +1,13 @@
 """Config round trips, run records, determinism, CLI surfaces."""
 
+import argparse
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from eigencollide.cli import cli
+from eigencollide.cli import _build_parser, cli
 from eigencollide.harness import (
     ConfigError,
     config_hash,
@@ -443,6 +444,81 @@ def test_cli_threads_env_bad_value_is_usage_error(tmp_path, capsys, monkeypatch,
     rc = cli(["collide-prob", "--config", str(cfg_file)])
     assert rc == 2
     assert "EIGENCOLLIDE_THREADS" in capsys.readouterr().err
+
+
+SMALL = MINIMAL.replace("resolution: [32, 32]", "resolution: [8, 8]") + (
+    "delta_ladder: [0.5, 0.25, 0.125]\n"
+)
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "boxdim", "validate-field"])
+def test_cli_threads_env_ignored_without_threads_flag(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("EIGENCOLLIDE_THREADS", "abc")
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(SMALL)
+    assert cli([command, "--config", str(cfg_file)]) == 0, capsys.readouterr().err
+
+
+SHARED_FLAGS = {
+    "predict": {"--config", "--json"},
+    "simulate": {"--config", "--seed", "--json"},
+    "collide-prob": {"--config", "--seed", "--threads", "--json"},
+    "boxdim": {"--config", "--seed", "--json"},
+    "sde": {"--seed", "--out", "--json"},
+    "validate-field": {"--config", "--seed", "--json"},
+    "report": {"--config", "--seed", "--out", "--threads", "--json"},
+}
+
+
+def test_cli_declares_only_the_shared_flags_each_command_reads():
+    parser = _build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    shared = set().union(*SHARED_FLAGS.values())
+    declared = {
+        name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert {name: opts & shared for name, opts in declared.items()} == SHARED_FLAGS
+    assert sum(len(opts) for opts in declared.values()) == 45
+
+
+RUN_FLAGS = ("--config", "--seed", "--threads", "--out")
+UNDECLARED = [
+    (command, flag)
+    for command, flags in SHARED_FLAGS.items()
+    for flag in RUN_FLAGS
+    if flag not in flags
+]
+
+
+def _run_flag_values(tmp_path):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(SMALL)
+    return {"--config": str(cfg_file), "--seed": "3", "--threads": "1",
+            "--out": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize("command, flag", UNDECLARED)
+def test_cli_undeclared_flag_exits_2(tmp_path, capsys, command, flag):
+    values = _run_flag_values(tmp_path)
+    run_args = {
+        "predict": ["--beta", "1", "--d", "2", "--pattern", "2", "--hurst", "1/2,1/2"],
+        "sde": ["--paths", "4", "--steps", "10"],
+    }.get(command, ["--config", values["--config"]])
+    assert cli([command, *run_args, flag, values[flag]]) == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", RUN_FLAGS)
+def test_cli_report_from_refuses_run_flags(tmp_path, capsys, flag):
+    values = _run_flag_values(tmp_path)
+    done = tmp_path / "done"
+    done.mkdir()
+    (done / "record.json").write_text("{}\n")
+    assert cli(["report", "--from", str(done), flag, values[flag]]) == 2
+    assert "report --from takes no " + flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -261,11 +261,22 @@ def test_broken_paths_pinned(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("block", [1, 7, sde._BLOCK_STEPS])
-def test_noise_block_size_does_not_change_paths(monkeypatch, block):
+@pytest.mark.parametrize(
+    "block, chunk",
+    [
+        pytest.param(1, sde._CHUNK_PATHS, id="1"),
+        pytest.param(7, sde._CHUNK_PATHS, id="7"),
+        pytest.param(sde._BLOCK_STEPS, sde._CHUNK_PATHS, id=str(sde._BLOCK_STEPS)),
+        pytest.param(sde._BLOCK_STEPS, 1, id="chunk1"),
+        pytest.param(sde._BLOCK_STEPS, 2, id="chunk2"),
+    ],
+)
+def test_noise_block_size_does_not_change_paths(monkeypatch, block, chunk):
     monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", chunk)
     # 200 steps plus the warm-up ramp are no multiple of 7; two extra paths
-    # share the chunk without changing the pinned ones
+    # share the chunk without changing the pinned ones, and chunks of 1 or
+    # 2 paths split the five paths without changing them either
     term, _ = dyson_paths(np.zeros(3), 1.0, 200, 1, 18, 5)
     assert term[:3].tolist() == DYSON_PINS[3, 1]
     args = ((0.0, 0.0), 200, 3, 43, 3)
