@@ -119,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub("sde", "integrate the eigenvalue SDE systems", "--seed --out --json")
     p.add_argument("--model", choices=("dyson", "wishart"), default="dyson")
     p.add_argument("--d", type=int, default=2, help="number of particles")
-    p.add_argument("--beta", type=int, choices=(1, 2), default=1)
-    p.add_argument("--n", type=int, help="second Wishart dimension")
+    p.add_argument("--beta", type=int, choices=(1, 2), help="dyson only (default 1)")
+    p.add_argument("--n", type=int, help="wishart only: second dimension (default max(d, 3))")
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--paths", type=int, default=1000)
@@ -266,13 +266,18 @@ def _boxdim(args) -> int:
 
 def _sde(args) -> int:
     d = args.d
+    if args.model == "dyson" and args.n is not None:
+        raise ConfigError("sde --model dyson takes no --n")
+    if args.model == "wishart" and args.beta is not None:
+        raise ConfigError("sde --model wishart takes no --beta (its system is the real one)")
     if args.x0 and len(args.x0) != d:
         raise ConfigError("--x0 has %d start positions but --d is %d" % (len(args.x0), d))
     x0 = np.asarray(args.x0, dtype=float) if args.x0 else np.zeros(d)
     seed = args.seed if args.seed is not None else 0
     try:
         if args.model == "dyson":
-            term, broken = dyson_paths(x0, args.t1, args.steps, args.beta, seed, args.paths)
+            beta = args.beta if args.beta is not None else 1
+            term, broken = dyson_paths(x0, args.t1, args.steps, beta, seed, args.paths)
         else:
             n = args.n if args.n is not None else max(d, 3)
             term, broken = wishart_paths(x0, args.t1, args.steps, n, seed, args.paths)
@@ -357,8 +362,8 @@ def _report(args) -> int:
                 print("boxdim: slope %.4f" % est["boxdim"]["slope"])
         for w in payload["warnings"]:
             print("warning: %s" % w)
-        if args.out:
-            print("written to %s" % args.out)
+        if args.out or cfg.out_dir:
+            print("written to %s" % (args.out or cfg.out_dir))
     return 0 if stages_ok else 1
 
 

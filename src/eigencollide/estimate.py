@@ -49,13 +49,26 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
+# the box-count fit window drops the coarsest and finest ladder levels
+# (boundary and discretization bias)
+_DROP_COARSE = 2
+_DROP_FINE = 1
 
 
-def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def _positive_ladder(values, name: str) -> tuple[float, ...]:
+    """The ladder as floats; ValueError unless every entry is finite and > 0."""
+    out = tuple(float(v) for v in values)
+    if not all(0 < v < math.inf for v in out):  # False for NaN
+        raise ValueError("%s entries must be finite and > 0" % name)
+    return out
+
+
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial fraction."""
     if n <= 0:
         return (0.0, 1.0)
     p = hits / n
+    z = _Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
@@ -155,7 +168,7 @@ def collision_prob(
     ValueError.
     """
     _check_matches(spec, pattern, kind)
-    eps = tuple(float(e) for e in eps_ladder)
+    eps = _positive_ladder(eps_ladder, "eps ladder")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     if n_paths < 100:
@@ -209,20 +222,21 @@ def box_count_dimension(
     delta_ladder,
     holder: float,
     kappa: float = 1.0,
-    drop_coarse: int = 2,
-    drop_fine: int = 1,
 ) -> BoxDimEstimate:
     """Box-counting slope for the near-zero set of a nonnegative field.
 
     Marks grid points where `values` <= kappa * delta^holder, counts
     occupied delta-boxes per ladder level, and fits the log-log slope by
-    least squares.  The default window drops the two coarsest levels and
-    the finest one (boundary and discretization bias).  Too few usable
-    levels flag the estimate unreliable, never raise.
+    least squares.  The window drops the two coarsest levels and the
+    finest one (boundary and discretization bias).  Too few usable levels
+    flag the estimate unreliable, never raise; ladder entries or a `kappa`
+    that are not finite and > 0 raise ValueError.
     """
-    deltas = tuple(sorted((float(d) for d in delta_ladder), reverse=True))
+    deltas = tuple(sorted(_positive_ladder(delta_ladder, "delta ladder"), reverse=True))
     if len(set(deltas)) != len(deltas):
         raise ValueError("delta ladder must not contain repeats")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and > 0")
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ValueError("values must be grid-shaped")
@@ -234,8 +248,8 @@ def box_count_dimension(
         thresholds.append(thr)
         counts.append(_box_count(vals <= thr, grid, delta))
 
-    lo = drop_coarse
-    hi = len(deltas) - drop_fine
+    lo = _DROP_COARSE
+    hi = len(deltas) - _DROP_FINE
     window = [
         (d, c) for d, c in zip(deltas[lo:hi], counts[lo:hi]) if c > 0
     ]

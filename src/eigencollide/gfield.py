@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -48,6 +48,8 @@ __all__ = [
 
 # Dense-path fallbacks refuse grids beyond this many points per axis.
 _MAX_DENSE = 4096
+# A TimeGrid refuses more points than this in total.
+_MAX_POINTS = 1 << 26
 
 
 class FactorizationError(RuntimeError):
@@ -65,14 +67,8 @@ class TimeGrid:
 
     intervals: tuple[tuple[float, float], ...]
     shape: tuple[int, ...]
-    max_points: int = field(default=1 << 26, compare=False)
 
-    def __init__(
-        self,
-        intervals: Sequence[Sequence[float]],
-        shape: Sequence[int],
-        max_points: int = 1 << 26,
-    ) -> None:
+    def __init__(self, intervals: Sequence[Sequence[float]], shape: Sequence[int]) -> None:
         ivs = tuple((float(a), float(b)) for a, b in intervals)
         ns = tuple(int(n) for n in shape)
         if len(ivs) != len(ns) or len(ivs) == 0:
@@ -87,13 +83,12 @@ class TimeGrid:
             if n < 1:
                 raise ValueError("need at least one point per axis")
         total = math.prod(ns)
-        if total > max_points:
+        if total > _MAX_POINTS:
             raise ValueError(
-                "grid has %d points, over the budget of %d" % (total, max_points)
+                "grid has %d points, over the budget of %d" % (total, _MAX_POINTS)
             )
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "shape", ns)
-        object.__setattr__(self, "max_points", int(max_points))
 
     @classmethod
     def unit(cls, shape: Sequence[int], interval=(1.0, 2.0)) -> "TimeGrid":

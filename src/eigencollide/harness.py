@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -55,7 +56,6 @@ __all__ = [
 _KINDS = {k.value: k for k in SpectralKind}
 
 _DEFAULT_EPS = (0.4, 0.2, 0.11, 0.1)
-_DEFAULT_DELTA = tuple(2.0**-k for k in range(1, 8))
 
 
 class ConfigError(ValueError):
@@ -178,6 +178,10 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _finite_positive(v) -> bool:
+    return 0 < v < math.inf  # False for NaN
+
+
 def _is(kind):
     return lambda v: isinstance(v, kind)
 
@@ -264,6 +268,14 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     eps = cfg.eps_ladder
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
         out.append("eps_ladder must be strictly decreasing with >= 2 levels")
+    if not all(map(_finite_positive, eps)):
+        out.append("eps_ladder entries must be finite and > 0")
+    if not all(map(_finite_positive, cfg.delta_ladder)):
+        out.append("delta_ladder entries must be finite and > 0")
+    if len(set(cfg.delta_ladder)) != len(cfg.delta_ladder):
+        out.append("delta_ladder entries must not repeat")
+    if not _finite_positive(cfg.kappa):
+        out.append("kappa must be finite and > 0")
     if cfg.paths < 100:
         out.append("paths must be >= 100")
     if not 0 <= cfg.seed < 2**64:

@@ -5,7 +5,8 @@ square self-adjoint matrix Brownian motion (repulsion 1/(x_i - x_j),
 diffusion sqrt(2/beta)) and by the Gram spectrum of the rectangular matrix
 Brownian motion (drift n + sum (x_i + x_j)/(x_i - x_j), diffusion
 2 sqrt(x_i), reflection at 0).  These cross-validate the matrix-field
-pipeline at H = 1/2 on a 1-d time axis.
+pipeline at H = 1/2 on a 1-d time axis.  `dyson_paths` and
+`wishart_paths` are the integrator API; there is no single-step entry.
 
 The repulsion is singular at coincidence, so a step is retried as two half
 steps (recursively, at most 20 levels) when it would cross the ordering or
@@ -16,12 +17,15 @@ drift is not.  The Brownian increment is split linearly between the
 halves, which keeps a step a pure function of (state, dt, noise): a run is
 reproducible from (seed, dt schedule) alone.  Refinement helps because it
 re-evaluates the singular drift mid-step, not because it adds randomness.
+A path that cannot keep its order within 20 halvings is frozen at its last
+valid state and flagged in the runners' `broken` mask, never raised.
 
 Start states at (or within noise of) coincidence are nudged apart by a
-1e-8 spread, refused where the spread rounds away (from about 1e8), and
-the path runners prepend a geometric warm-up ramp to the step schedule so
-the first steps satisfy the impulse bound at the start state; halving
-alone cannot bridge from dt to the fully collided scale.
+1e-8 spread, refused where the spread rounds away (from about 1e8);
+Wishart starts are first clipped to 0.  The runners prepend a geometric
+warm-up ramp to the step schedule so the first steps satisfy the impulse
+bound at the start state; halving alone cannot bridge from dt to the
+fully collided scale.
 
 The path runners integrate up to 1024 paths at once.  Their state is
 particle-major, shape (d, paths), so each per-particle operation is one
@@ -41,7 +45,6 @@ scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +52,6 @@ from .gfield import _as_exponent
 from .rng import DOMAIN_SDE, substream
 
 __all__ = [
-    "CollisionBreakdownError",
-    "ParticleState",
-    "dyson_step",
-    "wishart_eig_step",
     "dyson_paths",
     "wishart_paths",
     "fractional_drift_coeffs",
@@ -66,35 +65,7 @@ _BLOCK_STEPS = 256  # steps of noise drawn per stream at a time
 _CHUNK_PATHS = 1024  # paths integrated at once
 
 
-class CollisionBreakdownError(RuntimeError):
-    """Ordering could not be preserved after the maximum halvings."""
-
-    def __init__(self, message: str, state: "ParticleState"):
-        super().__init__(message)
-        self.state = state
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    """Ordered particle positions at one time."""
-
-    time: float
-    positions: np.ndarray
-    beta: int
-    n: int | None = None  # second Wishart dimension, when applicable
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "positions", np.asarray(self.positions, dtype=float).copy()
-        )
-        self.positions.flags.writeable = False
-        if self.beta not in (1, 2):
-            raise ValueError("beta must be 1 or 2")
-        if self.positions.ndim != 1:
-            raise ValueError("positions must be a vector")
-
-
-def nudge_apart(positions, spread: float = _NUDGE) -> np.ndarray:
+def nudge_apart(positions) -> np.ndarray:
     """Separate coinciding start positions; the drift is singular there.
 
     Raises `ValueError` when the spread rounds away, as it does for tied
@@ -103,11 +74,11 @@ def nudge_apart(positions, spread: float = _NUDGE) -> np.ndarray:
     """
     x = np.asarray(positions, dtype=float).copy()
     if np.any(np.diff(x) <= 0):
-        x = np.sort(x) + spread * np.arange(len(x))
+        x = np.sort(x) + _NUDGE * np.arange(len(x))
         if np.any(np.diff(x) <= 0):
             raise ValueError(
                 "start positions stay tied after a nudge of %g; "
-                "separate them by hand" % spread
+                "separate them by hand" % _NUDGE
             )
     return x
 
@@ -200,56 +171,6 @@ def _wishart_diffusion(x, dw):
     return out
 
 
-def _check_step_args(state: ParticleState, dt: float, noise) -> np.ndarray:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if np.any(np.diff(state.positions) <= 0):
-        raise ValueError("positions must be strictly increasing")
-    dw = np.asarray(noise, dtype=float)
-    if dw.shape != state.positions.shape:
-        raise ValueError("noise vector must match the number of particles")
-    return dw
-
-
-def _step(state: ParticleState, dt, dw, drift_fn, diffusion_fn, reflect) -> ParticleState:
-    with np.errstate(invalid="ignore"):
-        y, bad = _advance(
-            state.positions[:, None], dt, dw[:, None], _MAX_HALVINGS,
-            drift_fn, diffusion_fn, reflect,
-        )
-    if bad[0]:
-        raise CollisionBreakdownError(
-            "ordering lost at t=%g after %d halvings" % (state.time, _MAX_HALVINGS),
-            state=state,
-        )
-    return ParticleState(time=state.time + dt, positions=y[:, 0], beta=state.beta, n=state.n)
-
-
-def dyson_step(state: ParticleState, dt: float, noise) -> ParticleState:
-    """One Euler step of the eigenvalue repulsion system.
-
-    `noise` is the Brownian increment over the step (std sqrt(dt) per
-    particle).  Raises CollisionBreakdownError, carrying the pre-step
-    state, if ordering cannot be preserved within 20 halvings.
-    """
-    dw = _check_step_args(state, dt, noise)
-    return _step(state, dt, dw, _dyson_drift, _dyson_diffusion(state.beta), reflect=False)
-
-
-def wishart_eig_step(state: ParticleState, dt: float, noise) -> ParticleState:
-    """One Euler step of the Gram-spectrum system with reflection at 0."""
-    if state.n is None:
-        raise ValueError("state needs the second dimension n")
-    if state.n < len(state.positions):
-        raise ValueError("need n >= number of particles")
-    if np.any(state.positions < 0):
-        raise ValueError("positions must be nonnegative")
-    dw = _check_step_args(state, dt, noise)
-    return _step(
-        state, dt, dw, lambda x: _wishart_drift(x, state.n), _wishart_diffusion, reflect=True
-    )
-
-
 def _dt_schedule(x0, t1, n_steps, drift_fn) -> np.ndarray:
     """Uniform steps of t1/n_steps, preceded by a geometric warm-up ramp
     when the start state cannot take a full step within the impulse bound."""
@@ -338,24 +259,34 @@ def wishart_paths(
     )
 
 
-def fractional_drift_coeffs(H, t: float, state: ParticleState) -> np.ndarray:
+def _fractional_factor(H, t: float, positions) -> tuple[float, np.ndarray]:
+    """2H t^{2H-1} and the positions as a particle-major column, after
+    checking H in [1/2, 1), t > 0 and strictly increasing positions."""
+    h = _as_exponent(H)
+    if not 0.5 <= h < 1:
+        raise ValueError("drift is defined for H in [1/2, 1)")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    x = np.asarray(positions, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("positions must be a vector")
+    if not np.all(np.diff(x) > 0):
+        raise ValueError("positions must be strictly increasing")
+    return 2.0 * h * t ** (2.0 * h - 1.0), x[:, None]
+
+
+def fractional_drift_coeffs(H, t: float, positions) -> np.ndarray:
     """Drift vector of the fractional eigenvalue system: the explicit
     singular part 2H t^{2H-1} sum_{j != i} 1/(x_i - x_j).
 
     At H = 1/2 this is exactly the Dyson drift.  The Skorohod noise terms
     of the fractional system are out of scope.
     """
-    h = _as_exponent(H)
-    if not 0.5 <= h < 1:
-        raise ValueError("drift is defined for H in [1/2, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if np.any(np.diff(state.positions) <= 0):
-        raise ValueError("positions must be strictly increasing")
-    return (2.0 * h * t ** (2.0 * h - 1.0)) * _dyson_drift(state.positions[:, None])[:, 0]
+    factor, x = _fractional_factor(H, t, positions)
+    return factor * _dyson_drift(x)[:, 0]
 
 
-def fractional_wishart_drift_coeffs(H, t: float, state: ParticleState) -> np.ndarray:
+def fractional_wishart_drift_coeffs(H, t: float, positions, n: int) -> np.ndarray:
     """Drift vector of the fractional Gram-spectrum system:
     2H t^{2H-1} (n + sum_{j != i} (x_i + x_j)/(x_i - x_j)).
 
@@ -363,14 +294,5 @@ def fractional_wishart_drift_coeffs(H, t: float, state: ParticleState) -> np.nda
     over the particles, so the drifts sum to 2H d n t^{2H-1}, the time
     derivative of E tr W(t) = d n t^{2H}.
     """
-    h = _as_exponent(H)
-    if not 0.5 <= h < 1:
-        raise ValueError("drift is defined for H in [1/2, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if state.n is None:
-        raise ValueError("state needs the second dimension n")
-    if np.any(np.diff(state.positions) <= 0):
-        raise ValueError("positions must be strictly increasing")
-    drift = _wishart_drift(state.positions[:, None], state.n)[:, 0]
-    return (2.0 * h * t ** (2.0 * h - 1.0)) * drift
+    factor, x = _fractional_factor(H, t, positions)
+    return factor * _wishart_drift(x, n)[:, 0]

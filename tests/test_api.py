@@ -1,11 +1,14 @@
-"""Every exported name resolves, every attribute the benchmark tracer wraps
-exists, and one smoke-size pass of every benchmark workload runs, so that
-deleting or re-signing a name the benchmark uses fails here."""
+"""Every exported name resolves, every name the demos and the README import
+from the package exists, every attribute the benchmark tracer wraps exists,
+and one smoke-size pass of every benchmark workload runs, so that deleting
+or re-signing a name the benchmark uses fails here."""
 
+import ast
 import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +31,32 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported)
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing
+
+
+def _python_sources():
+    """(label, source) for each demo script and each python block of the README."""
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        yield "demos/" + path.name, path.read_text()
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    for i, block in enumerate(blocks):
+        yield "README.md#python%d" % i, block
+
+
+@pytest.mark.parametrize(
+    "label, source", [pytest.param(*item, id=item[0]) for item in _python_sources()]
+)
+def test_demo_and_readme_imports_resolve(label, source):
+    # parsed, not run: the demos take minutes
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module == "eigencollide" or node.module.startswith("eigencollide.")
+        ):
+            module = importlib.import_module(node.module)
+            missing += [
+                "%s.%s" % (node.module, a.name) for a in node.names if not hasattr(module, a.name)
+            ]
+    assert not missing, label
 
 
 def test_tracer_boundaries_exist():

@@ -84,6 +84,25 @@ def test_collision_prob_validates():
         collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (0.1, 0.2), 100, 1)
     with pytest.raises(ValueError):
         collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (0.2, 0.1), 50, 1)
+    for ladder in [(0.4, -0.1), (0.4, 0.0), (0.4, float("nan")), (float("inf"), 0.4)]:
+        with pytest.raises(ValueError, match="finite and > 0"):
+            collision_prob(ensemble(["1/2"]), PAT2, RE, grid, ladder, 100, 1)
+
+
+@pytest.mark.parametrize(
+    "ladder, kappa",
+    [
+        ([0.5, 0.25, 0.0], 1.0),
+        ([0.5, 0.25, 0.125, -0.0625], 1.0),
+        ([0.5, float("nan")], 1.0),
+        ([0.5, 0.25], -1.0),
+        ([0.5, 0.25], float("inf")),
+    ],
+)
+def test_box_count_rejects_nonpositive_ladder_or_kappa(ladder, kappa):
+    grid = TimeGrid.unit([16])
+    with pytest.raises(ValueError, match="finite and > 0"):
+        box_count_dimension(np.ones(grid.shape), grid, ladder, holder=0.5, kappa=kappa)
 
 
 MISMATCHED = {

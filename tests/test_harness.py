@@ -261,11 +261,23 @@ def test_cli_report_and_reprint(tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc = cli(["report", "--config", str(cfg_file), "--out", str(out_dir)])
     assert rc == 0
-    capsys.readouterr()
+    assert "written to %s" % out_dir in capsys.readouterr().out
     rc = cli(["report", "--from", str(out_dir), "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["outputs"]["predict"]["Q"] == "4/1"
+
+
+def test_cli_report_names_the_config_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "from_config"
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(
+        MINIMAL.replace("resolution: [32, 32]", "resolution: [8, 8]")
+        + "out_dir: %s\n" % out_dir
+    )
+    assert cli(["report", "--config", str(cfg_file)]) == 0
+    assert "written to %s" % out_dir in capsys.readouterr().out
+    assert (out_dir / "record.json").exists()
 
 
 def test_cli_validate_field(tmp_path, capsys):
@@ -315,14 +327,36 @@ def test_cli_collide_prob_overrides(tmp_path, capsys):
         (["--eps-ladder", "0.1,0.4"], "eps_ladder must be strictly decreasing"),
         (["--seed", "-1"], "seed must be a 64-bit"),
         (["--grid", "1,16"], "resolution entries must be >= 2"),
+        (["--eps-ladder", "0.4,-0.1"], "eps_ladder entries must be finite and > 0"),
+        (["--eps-ladder", "0.4,nan"], "eps_ladder entries must be finite and > 0"),
+        (["--delta-ladder", "0.5,0.25,0.0"], "delta_ladder entries must be finite and > 0"),
+        (["--delta-ladder", "0.5,0.25,0.125,-0.0625"], "delta_ladder entries must be finite"),
+        (["--delta-ladder", "0.5,-0.25", "--json"], "delta_ladder entries must be finite"),
+        (["--delta-ladder", "inf,0.5"], "delta_ladder entries must be finite and > 0"),
+        (["--delta-ladder", "0.5,0.25,0.25"], "delta_ladder entries must not repeat"),
+        (["--kappa", "-1"], "kappa must be finite and > 0"),
+        (["--kappa", "0"], "kappa must be finite and > 0"),
+        (["--kappa", "inf"], "kappa must be finite and > 0"),
     ],
 )
 def test_cli_overrides_are_validated(tmp_path, capsys, flags, named):
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(MINIMAL)
-    rc = cli(["collide-prob", "--config", str(cfg_file)] + flags)
+    # the box-count flags belong to boxdim, the others to collide-prob
+    command = "boxdim" if flags[0] in ("--delta-ladder", "--kappa") else "collide-prob"
+    rc = cli([command, "--config", str(cfg_file)] + flags)
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+def test_cli_nonpositive_ladder_in_config_exits_2(tmp_path, capsys):
+    # the estimate stage used to fail on a zero delta with a division by
+    # zero, losing the Monte Carlo estimate; the config is refused instead
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL + "delta_ladder: [0.5, 0.25, 0.0]\nboxdim: true\n")
+    assert cli(["report", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 2
+    assert "delta_ladder entries must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_wrongly_typed_config_exits_2(tmp_path, capsys):
@@ -365,6 +399,9 @@ def test_cli_sde_csv(tmp_path, capsys):
         (["--model", "wishart", "--d", "3", "--n", "2"], "need n >= number of particles"),
         (["--d", "2", "--x0", "0,1,2"], "--x0 has 3 start positions but --d is 2"),
         (["--x0", "1e9,1e9"], "start positions stay tied"),
+        (["--model", "wishart", "--beta", "2"], "sde --model wishart takes no --beta"),
+        (["--model", "dyson", "--n", "7"], "sde --model dyson takes no --n"),
+        (["--n", "7"], "sde --model dyson takes no --n"),
     ],
 )
 def test_cli_sde_bad_arguments_exit_2(flags, named, capsys):

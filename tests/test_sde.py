@@ -7,75 +7,76 @@ import pytest
 
 from eigencollide import sde
 from eigencollide.sde import (
-    CollisionBreakdownError,
-    ParticleState,
     dyson_paths,
-    dyson_step,
     fractional_drift_coeffs,
     fractional_wishart_drift_coeffs,
     nudge_apart,
-    wishart_eig_step,
     wishart_paths,
 )
 
 
-def state(xs, beta=1, n=None, t=0.0):
-    return ParticleState(time=t, positions=np.asarray(xs, dtype=float), beta=beta, n=n)
+def step(xs, dt, noise, beta=1, n=None, depth=sde._MAX_HALVINGS):
+    """One Euler step with halving of a single path through the runners'
+    `_advance`: Dyson, or Wishart when `n` is given.  Returns (y, bad)."""
+    x = np.asarray(xs, dtype=float)[:, None]
+    dw = np.asarray(noise, dtype=float)[:, None]
+    if n is None:
+        model = (sde._dyson_drift, sde._dyson_diffusion(beta), False)
+    else:
+        model = (lambda y: sde._wishart_drift(y, n), sde._wishart_diffusion, True)
+    with np.errstate(invalid="ignore"):
+        y, bad = sde._advance(x, dt, dw, depth, *model)
+    return y[:, 0], bool(bad[0])
 
 
 # -- single steps -------------------------------------------------------
 
 
 def test_dyson_step_drift_and_noise():
-    s = state([0.0, 1.0], beta=2)
-    out = dyson_step(s, 0.01, np.array([0.0, 0.0]))
+    out, bad = step([0.0, 1.0], 0.01, [0.0, 0.0], beta=2)
     # pure drift: -+ 0.01 / gap with sqrt(2/beta) absorbing nothing here
-    assert out.positions == pytest.approx([-0.01, 1.01])
-    assert out.time == pytest.approx(0.01)
-    out = dyson_step(s, 0.01, np.array([0.02, -0.02]))
-    assert out.positions == pytest.approx([0.02 * np.sqrt(2 / 2) - 0.01, 1.01 - 0.02])
-
-
-def test_dyson_step_requires_order():
-    with pytest.raises(ValueError):
-        dyson_step(state([1.0, 1.0]), 0.01, np.zeros(2))
+    assert not bad
+    assert out == pytest.approx([-0.01, 1.01])
+    out, bad = step([0.0, 1.0], 0.01, [0.02, -0.02], beta=2)
+    assert not bad
+    assert out == pytest.approx([0.02 * np.sqrt(2 / 2) - 0.01, 1.01 - 0.02])
 
 
 def test_dyson_step_halving_preserves_order():
     # noise that would cross without refinement
-    s = state([0.0, 0.05])
-    out = dyson_step(s, 1e-3, np.array([0.2, -0.2]))
-    assert out.positions[0] < out.positions[1]
+    out, bad = step([0.0, 0.05], 1e-3, [0.2, -0.2])
+    assert not bad
+    assert out[0] < out[1]
 
 
-def test_dyson_step_breakdown_carries_state():
+def test_dyson_step_breakdown_reported_bad():
     # an enormous crossing increment over a tiny dt: the repulsion impulse
     # (~dt/gap) cannot outrun the noise at any refinement level
-    s = state([0.0, 1e-3])
-    with pytest.raises(CollisionBreakdownError) as err:
-        dyson_step(s, 1e-12, np.array([1.0, -1.0]))
-    assert err.value.state is s
+    out, bad = step([0.0, 1e-3], 1e-12, [1.0, -1.0])
+    assert bad
+    # with no halving left, a crossing step is bad at once
+    out, bad = step([0.0, 0.05], 1e-3, [0.2, -0.2], depth=0)
+    assert bad
+    assert out[0] > out[1]
 
 
 def test_wishart_step_mean_drift():
-    s = state([1.0, 2.0], n=3)
-    out = wishart_eig_step(s, 1e-3, np.zeros(2))
+    out, bad = step([1.0, 2.0], 1e-3, [0.0, 0.0], n=3)
     drift1 = 3 + (1 + 2) / (1 - 2)
     drift2 = 3 + (2 + 1) / (2 - 1)
-    assert out.positions == pytest.approx([1 + 1e-3 * drift1, 2 + 1e-3 * drift2])
+    assert not bad
+    assert out == pytest.approx([1 + 1e-3 * drift1, 2 + 1e-3 * drift2])
 
 
 def test_wishart_step_reflects_at_zero():
-    s = state([0.04, 5.0], n=3)
-    out = wishart_eig_step(s, 1e-4, np.array([-40.0, 0.0]))
-    assert np.all(out.positions >= 0)
+    out, bad = step([0.04, 5.0], 1e-4, [-40.0, 0.0], n=3)
+    assert not bad
+    assert np.all(out >= 0)
 
 
-def test_wishart_step_needs_n():
-    with pytest.raises(ValueError):
-        wishart_eig_step(state([0.5, 1.0]), 0.01, np.zeros(2))
-    with pytest.raises(ValueError):
-        wishart_eig_step(state([0.5, 1.0, 2.0], n=2), 0.01, np.zeros(3))
+def test_wishart_paths_need_n_at_least_d():
+    with pytest.raises(ValueError, match="n >= number of particles"):
+        wishart_paths(np.array([0.5, 1.0, 2.0]), 1.0, 10, 2, 0, 2)
 
 
 # -- path ensembles -----------------------------------------------------
@@ -236,12 +237,14 @@ def test_wishart_paths_pinned(monkeypatch, args):
 
 def test_steps_pinned_through_halving(monkeypatch):
     halved = _count_halvings(monkeypatch)
-    out = dyson_step(state([0.0, 0.05]), 1e-3, np.array([0.2, -0.2]))
-    assert out.positions.tolist() == [0.02323223304703363, 0.026767766952966367]
+    out, bad = step([0.0, 0.05], 1e-3, [0.2, -0.2])
+    assert not bad
+    assert out.tolist() == [0.02323223304703363, 0.026767766952966367]
     assert any(halved)
     halved.clear()
-    out = wishart_eig_step(state([0.04, 5.0], n=3), 1e-4, np.array([-40.0, 0.0]))
-    assert out.positions.tolist() == [4.548386428624489, 5.000789102959081]
+    out, bad = step([0.04, 5.0], 1e-4, [-40.0, 0.0], n=3)
+    assert not bad
+    assert out.tolist() == [4.548386428624489, 5.000789102959081]
     assert any(halved)
 
 
@@ -338,9 +341,8 @@ def test_ties_the_nudge_cannot_separate_are_refused(x0):
 
 
 def test_fractional_drift_reduces_to_dyson():
-    s = state([0.3, 0.9, 2.0])
-    got = fractional_drift_coeffs(0.5, 7.0, s)
-    x = s.positions
+    x = [0.3, 0.9, 2.0]
+    got = fractional_drift_coeffs(0.5, 7.0, x)
     want = [
         sum(1.0 / (x[i] - x[j]) for j in range(3) if j != i) for i in range(3)
     ]
@@ -348,8 +350,7 @@ def test_fractional_drift_reduces_to_dyson():
 
 
 def test_fractional_drift_example():
-    s = state([0.0, 1.0])
-    got = fractional_drift_coeffs("3/4", 1.0, s)
+    got = fractional_drift_coeffs("3/4", 1.0, [0.0, 1.0])
     assert got == pytest.approx([-1.5, 1.5])
 
 
@@ -357,24 +358,27 @@ def test_fractional_drift_antisymmetry():
     rng = np.random.default_rng(41)
     for _ in range(20):
         xs = np.sort(rng.standard_normal(5))
-        s = state(xs)
-        got = fractional_drift_coeffs("2/3", 2.5, s)
+        got = fractional_drift_coeffs("2/3", 2.5, xs)
         assert abs(got.sum()) < 1e-9
 
 
 def test_fractional_drift_domain():
-    s = state([0.0, 1.0])
+    x = [0.0, 1.0]
     with pytest.raises(ValueError):
-        fractional_drift_coeffs(0.4, 1.0, s)
+        fractional_drift_coeffs(0.4, 1.0, x)
     with pytest.raises(ValueError):
-        fractional_drift_coeffs(0.75, 0.0, s)
+        fractional_drift_coeffs(0.75, 0.0, x)
+    with pytest.raises(ValueError):
+        fractional_drift_coeffs(0.75, 1.0, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        fractional_wishart_drift_coeffs(0.75, 1.0, [2.0, 1.0], 3)
 
 
 def test_fractional_wishart_drift_reduces():
-    s = state([1.0, 2.0], n=3)
-    got = fractional_wishart_drift_coeffs(0.5, 1.0, s)
+    x = [1.0, 2.0]
+    got = fractional_wishart_drift_coeffs(0.5, 1.0, x, 3)
     assert got == pytest.approx([3 - 3.0, 3 + 3.0])
-    got = fractional_wishart_drift_coeffs("3/4", 1.0, s)
+    got = fractional_wishart_drift_coeffs("3/4", 1.0, x, 3)
     # 2H n + 2H t^{2H-1} * interaction at t=1
     assert got == pytest.approx([1.5 * 3 + 1.5 * (-3.0), 1.5 * 3 + 1.5 * 3.0])
 
@@ -382,8 +386,7 @@ def test_fractional_wishart_drift_reduces():
 def test_fractional_wishart_drift_time_dependence():
     # Away from t = 1 the n term carries t^{2H-1} too: the drifts sum to
     # d/dt E tr W(t) = 2H d n t^{2H-1}, the interaction sum cancelling.
-    s = state([1.0, 2.0], n=3)
-    got = fractional_wishart_drift_coeffs("3/4", 0.25, s)
+    got = fractional_wishart_drift_coeffs("3/4", 0.25, [1.0, 2.0], 3)
     factor = 1.5 * 0.25**0.5
     assert got == pytest.approx([factor * (3 - 3.0), factor * (3 + 3.0)])
     assert got.sum() == pytest.approx(1.5 * 2 * 3 * 0.25**0.5)
@@ -391,5 +394,5 @@ def test_fractional_wishart_drift_time_dependence():
     for _ in range(20):
         xs = np.sort(rng.uniform(0.1, 4.0, size=4))
         t = rng.uniform(0.1, 3.0)
-        got = fractional_wishart_drift_coeffs("2/3", t, state(xs, n=5))
+        got = fractional_wishart_drift_coeffs("2/3", t, xs, 5)
         assert got.sum() == pytest.approx((4 / 3) * 4 * 5 * t ** (1 / 3), rel=1e-9)
