@@ -20,6 +20,17 @@ and passes its gaps to `box_count_dimension` and the estimate to
 of its paths; threading it through would add a parameter to save 1/paths
 of the work.
 
+A path's gaps come from one of two routes, chosen from the ensemble
+alone.  A plain 2x2 self-adjoint ensemble (shape (2,), no shift, no
+transform) takes the plane route: the entry draws go straight into the
+closed-form spectrum, and the gap is hi - lo, with no matrix path, spectra
+array or gap DP.  Every other ensemble (d >= 3, a shift or transform, 2xn
+singular values) takes the general route: matrix path, `spectral_path`,
+`pattern_gap_values`.  The plane route's gaps are bitwise those of the
+general route, and the simulate stage of `harness.run` stays on the
+general route.  Both routes allocate per call only, with no shared
+buffer, so worker threads cannot interfere.
+
 Paths are independent across workers and the reduction is ordered by path
 index, so results are identical for any thread count.
 """
@@ -33,8 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfield import TimeGrid
-from .matfield import EnsembleSpec, sample_ensemble
-from .spectra import NumericalError, pattern_gap_values, spectral_path
+from .matfield import EnsembleSpec, _plane_entries, sample_ensemble
+from .spectra import (
+    NumericalError,
+    _grid_coordinates,
+    _plane_spectrum,
+    pattern_gap_values,
+    spectral_path,
+)
 from .theory import CollisionPattern, SpectralKind, TheoryVerdict, Verdict, dichotomy
 
 __all__ = [
@@ -144,6 +161,18 @@ def _check_matches(spec: EnsembleSpec, pattern: CollisionPattern, kind: Spectral
 
 
 def _path_gaps(spec, pattern, kind, grid, seed, path_index) -> np.ndarray:
+    """Pattern gaps of Monte Carlo path `path_index` on the grid.
+
+    A plain 2x2 square ensemble (no shift, no transform) takes the plane
+    route: its gap is hi - lo of the closed-form spectrum of the entry
+    draws, bitwise equal to the general route's DP over `spectral_path`,
+    because (2,) is the only pattern with d = 2 and hi >= lo.
+    """
+    if spec.shape == (2,) and spec.shift is None and spec.transform is None:
+        with _grid_coordinates(grid):
+            lo, hi = _plane_spectrum(*_plane_entries(spec, grid, seed, path_index))
+        hi -= lo
+        return hi
     mat = sample_ensemble(spec, grid, seed, path_index)
     spath = spectral_path(mat, kind)
     return pattern_gap_values(spath.values, pattern)

@@ -56,6 +56,10 @@ __all__ = [
 _KINDS = {k.value: k for k in SpectralKind}
 
 _DEFAULT_EPS = (0.4, 0.2, 0.11, 0.1)
+# largest matrix path (grid points x d1 x d2 x itemsize) a config may ask
+# for; the simulate stage allocates it, and its spectra and temporaries
+# take a few times more
+_MAX_PATH_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -287,9 +291,17 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if out:
         return out
     try:
-        cfg.ensemble()
+        ensemble = cfg.ensemble()
     except ValueError as err:
         out.append("ensemble: %s" % err)
+        return out
+    d1, d2 = ensemble.dims
+    nbytes = math.prod(cfg.resolution) * d1 * d2 * np.dtype(ensemble.dtype).itemsize
+    if nbytes > _MAX_PATH_BYTES:
+        out.append(
+            "a matrix path takes %d bytes, over the budget of %d bytes"
+            % (nbytes, _MAX_PATH_BYTES)
+        )
     return out
 
 
@@ -377,11 +389,8 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     t0 = time.perf_counter()
     gaps = simulate_error = None
     try:
-        # `spectra` is held until run returns, on purpose: freeing path 0's
-        # arrays before the Monte Carlo loop moved glibc's heap top so that
-        # every 256x256 sheet path re-faulted its working set (113k minor
-        # page faults instead of 2.5k, +30% time at 100 paths).
         outputs["simulate"], spectra, gaps = simulate(cfg)
+        del spectra  # only the summary and the gaps outlive the stage
     except Exception as err:  # record and continue: partial outputs survive
         simulate_error = err
         warnings.append("simulate failed: %s" % err)

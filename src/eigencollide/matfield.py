@@ -8,7 +8,13 @@ rectangular field fills all d1 x d2 entries i.i.d.  Affine maps
 A + T X T* (square) and B + T W Ttilde (rectangular) sit on top.
 
 Entry streams are keyed by (path index, entry index, real/imag part), so
-Monte Carlo paths are reproducible and independent of scheduling.
+Monte Carlo paths are reproducible and independent of scheduling; one
+helper, `_entry_draw`, forms that key for every draw.
+
+For a plain 2x2 self-adjoint ensemble the Monte Carlo estimators skip the
+matrix path: `_plane_entries` draws the same entry streams and returns the
+grid-shaped diagonal (a, c) and modulus |b| of the off-diagonal entry,
+bitwise the values `assemble_selfadjoint` stores.
 
 Storage: complex128 (interleaved real/imag) only when beta = 2; the real
 case stays float64 and never allocates an imaginary plane.
@@ -131,6 +137,16 @@ def _scalar_draw(
     return sample_sheet(kernel, grid, seed, key).values
 
 
+def _entry_draw(
+    spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, i: int, j: int,
+    part: int,
+) -> np.ndarray:
+    """Scalar field at matrix entry (i, j): the one place that keys entry
+    streams, as (path index, i * d2 + j, real/imag part)."""
+    entry = i * spec.dims[1] + j
+    return _scalar_draw(spec.kernel, grid, seed, (path_index, entry, part))
+
+
 def assemble_selfadjoint(
     spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int = 0
 ) -> MatrixPath:
@@ -146,21 +162,38 @@ def assemble_selfadjoint(
     out = np.zeros(grid.shape + (d, d), dtype=spec.dtype)
     for i in range(d):
         for j in range(i, d):
-            entry = i * d + j
-            xi = _scalar_draw(spec.kernel, grid, seed, (path_index, entry, _PART_REAL))
+            xi = _entry_draw(spec, grid, seed, path_index, i, j, _PART_REAL)
             if i == j:
                 np.multiply(xi, np.sqrt(2.0), out=out[..., i, i])
                 continue
             if spec.beta == 2:
-                eta = _scalar_draw(
-                    spec.kernel, grid, seed, (path_index, entry, _PART_IMAG)
-                )
+                eta = _entry_draw(spec, grid, seed, path_index, i, j, _PART_IMAG)
                 out[..., i, j] = xi + 1j * eta
                 out[..., j, i] = xi - 1j * eta
             else:
                 out[..., i, j] = xi
                 out[..., j, i] = xi
     return MatrixPath(grid=grid, values=out, beta=spec.beta)
+
+
+def _plane_entries(
+    spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (a, c, |b|) of the raw field [[a, b], [conj b, c]] of a
+    2x2 square ensemble.
+
+    Draws the same entry streams as `assemble_selfadjoint` and forms each
+    value with the same arithmetic, so the three grid-shaped arrays are
+    bitwise the diagonal and the modulus of the off-diagonal entry of its
+    matrix path; no (..., 2, 2) tensor is built.
+    """
+    a = _entry_draw(spec, grid, seed, path_index, 0, 0, _PART_REAL) * np.sqrt(2.0)
+    b = _entry_draw(spec, grid, seed, path_index, 0, 1, _PART_REAL)
+    if spec.beta == 2:
+        eta = _entry_draw(spec, grid, seed, path_index, 0, 1, _PART_IMAG)
+        b = b + 1j * eta  # as assembled, so |b| is bitwise the stored modulus
+    c = _entry_draw(spec, grid, seed, path_index, 1, 1, _PART_REAL) * np.sqrt(2.0)
+    return a, c, np.abs(b)
 
 
 def assemble_rect(
@@ -173,12 +206,9 @@ def assemble_rect(
     out = np.zeros(grid.shape + (d1, d2), dtype=spec.dtype)
     for i in range(d1):
         for j in range(d2):
-            entry = i * d2 + j
-            xi = _scalar_draw(spec.kernel, grid, seed, (path_index, entry, _PART_REAL))
+            xi = _entry_draw(spec, grid, seed, path_index, i, j, _PART_REAL)
             if spec.beta == 2:
-                eta = _scalar_draw(
-                    spec.kernel, grid, seed, (path_index, entry, _PART_IMAG)
-                )
+                eta = _entry_draw(spec, grid, seed, path_index, i, j, _PART_IMAG)
                 out[..., i, j] = xi + 1j * eta
             else:
                 out[..., i, j] = xi

@@ -27,7 +27,8 @@ warm-up ramp to the step schedule so the first steps satisfy the impulse
 bound at the start state; halving alone cannot bridge from dt to the
 fully collided scale.
 
-The path runners integrate up to 1024 paths at once.  Their state is
+The path runners integrate paths in chunks sized so that one block of
+noise takes at most 64 MiB (16 384 paths at d = 2).  Their state is
 particle-major, shape (d, paths), so each per-particle operation is one
 contiguous vector operation over the paths.  Path p draws its Brownian
 increments from its own stream, substream(seed, DOMAIN_SDE, p), in blocks
@@ -62,7 +63,13 @@ __all__ = [
 _MAX_HALVINGS = 20
 _NUDGE = 1e-8
 _BLOCK_STEPS = 256  # steps of noise drawn per stream at a time
-_CHUNK_PATHS = 1024  # paths integrated at once
+_NOISE_BUDGET = 64 << 20  # bytes of the per-chunk noise buffer
+
+
+def _chunk_paths(d: int) -> int:
+    """Paths integrated at once: as many as a (_BLOCK_STEPS, d, paths)
+    float64 noise buffer fits in _NOISE_BUDGET (16 384 at d = 2)."""
+    return max(1, _NOISE_BUDGET // (8 * _BLOCK_STEPS * d))
 
 
 def nudge_apart(positions) -> np.ndarray:
@@ -204,8 +211,9 @@ def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect):
     block = min(_BLOCK_STEPS, len(dts))
     out = np.empty((n_paths, d))
     broken = np.zeros(n_paths, dtype=bool)
-    for lo in range(0, n_paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, n_paths)
+    chunk = _chunk_paths(d)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
         streams = [substream(seed, DOMAIN_SDE, p) for p in range(lo, hi)]
         noise = np.empty((block, d, hi - lo))
         x = np.repeat(x0[:, None], hi - lo, axis=1)

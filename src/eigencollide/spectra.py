@@ -2,7 +2,10 @@
 
 Spectra are batched over leading axes, and the method depends only on the
 matrix shape.  2x2 self-adjoint matrices use the closed form mid +- r with
-mid = (a + c)/2 and r = hypot((a - c)/2, |b|), exact on ties.  2xn singular
+mid = (a + c)/2 and r = hypot((a - c)/2, |b|), exact on ties; its one
+implementation, `_plane_spectrum`, also serves the Monte Carlo plane route,
+which passes it entry draws instead of matrices, so both routes agree bit
+for bit and name non-finite points with the same message.  2xn singular
 values take sigma_max from the 2x2 Gram matrix M M* and sigma_min from the
 2x2 minors of M (Cauchy-Binet), so small values keep relative accuracy.
 Everything else goes to batched LAPACK `eigvalsh`; singular values with
@@ -22,6 +25,7 @@ test rather than a proof here.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
@@ -77,19 +81,22 @@ def _mid_radius(a, c, b_abs):
     The half-spread hypot((a - c)/2, |b|) is taken as big * sqrt(1 + q^2)
     with q = small/big <= 1 (0 when big = 0), in place, which is about
     three times cheaper than `np.hypot`; halving first and scaling by the
-    larger leg keep finite input from overflowing.
+    larger leg keep finite input from overflowing.  a and c share one
+    shape; the work reuses the buffers of the two halves, so only three
+    arrays of that shape are allocated.
     """
-    half_a, half_c = 0.5 * a, 0.5 * c
+    shape = np.shape(a)
+    half_a, half_c = np.atleast_1d(0.5 * a), np.atleast_1d(0.5 * c)
     mid = half_a + half_c
-    big = np.atleast_1d(np.abs(half_a - half_c))
-    small = np.minimum(big, b_abs)
+    big = np.abs(np.subtract(half_a, half_c, out=half_a), out=half_a)
+    small = np.minimum(big, b_abs, out=half_c)
     np.maximum(big, b_abs, out=big)
     q = np.divide(small, big, out=small, where=big > 0)
     np.multiply(q, q, out=q)
     q += 1.0
     np.sqrt(q, out=q)
     q *= big
-    return mid, q.reshape(np.shape(mid))
+    return mid.reshape(shape), q.reshape(shape)
 
 
 def _sqnorm(x):
@@ -100,17 +107,40 @@ def _sqnorm(x):
     return out
 
 
+def _nonfinite(bad: np.ndarray) -> NumericalError:
+    """The error for a flat batch mask of matrices with non-finite entries."""
+    return NumericalError(
+        "non-finite entries in %d matrices" % bad.sum(), batch_indices=np.nonzero(bad)[0]
+    )
+
+
 def _batch(arr: np.ndarray, rows: int) -> np.ndarray:
     """Float64/complex128 form of (..., rows, cols) matrices, all finite."""
     if rows > MAX_DIM:
         raise ValueError("spectra are supported for d <= %d" % MAX_DIM)
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     if not np.isfinite(arr).all():
-        bad = ~np.isfinite(arr.reshape((-1,) + arr.shape[-2:])).all(axis=(-2, -1))
-        raise NumericalError(
-            "non-finite entries in %d matrices" % bad.sum(), batch_indices=np.nonzero(bad)[0]
-        )
+        flat = arr.reshape((-1,) + arr.shape[-2:])
+        raise _nonfinite(~np.isfinite(flat).all(axis=(-2, -1)))
     return arr
+
+
+def _plane_spectrum(a, c, b_abs) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (lo, hi) of [[a, b], [conj b, c]] from the
+    real diagonal and |b|, batched over their common shape.
+
+    Both 2x2 routes go through here: `eigvals_selfadjoint` with the
+    entries of its matrices and the Monte Carlo plane route with the
+    entries of `matfield._plane_entries`, so their values agree bit for
+    bit.  A batch point with a non-finite entry raises `NumericalError`
+    naming the flat batch indices.
+    """
+    ok = np.isfinite(a) & np.isfinite(c) & np.isfinite(b_abs)
+    if not ok.all():
+        raise _nonfinite(~ok.reshape(-1))
+    mid, r = _mid_radius(a, c, b_abs)
+    lo = mid - r
+    return lo, np.add(mid, r, out=mid)
 
 
 def _nonconverged(flat, start=0) -> list[int]:
@@ -149,8 +179,9 @@ def eigvals_selfadjoint(mats) -> np.ndarray:
     arr = _batch(arr, arr.shape[-1])
     if arr.shape[-1] != 2:
         return _eigvalsh(arr)
-    mid, r = _mid_radius(arr[..., 0, 0].real, arr[..., 1, 1].real, np.abs(arr[..., 1, 0]))
-    return np.stack([mid - r, mid + r], axis=-1)
+    a, c, b_abs = arr[..., 0, 0].real, arr[..., 1, 1].real, np.abs(arr[..., 1, 0])
+    lo, hi = _plane_spectrum(a, c, b_abs)
+    return np.stack([lo, hi], axis=-1)
 
 
 def singvals(mats) -> np.ndarray:
@@ -306,11 +337,19 @@ def spectral_path(path, kind: SpectralKind) -> SpectralPath:
         if values.shape[-2] != values.shape[-1]:
             raise ValueError("eigen kind needs square matrices")
         compute = eigvals_selfadjoint
+    with _grid_coordinates(path.grid):
+        return SpectralPath(grid=path.grid, values=compute(values))
+
+
+@contextmanager
+def _grid_coordinates(grid: TimeGrid):
+    """Re-raise a `NumericalError` from a grid-shaped batch with the grid
+    coordinates of (up to four of) its offending points in the message."""
     try:
-        spec = compute(values)
+        yield
     except NumericalError as err:
         where = [
-            tuple(int(c) for c in np.unravel_index(b, path.grid.shape))
+            tuple(int(c) for c in np.unravel_index(b, grid.shape))
             for b in err.batch_indices[:4]
         ]
         raise NumericalError(
@@ -318,4 +357,3 @@ def spectral_path(path, kind: SpectralKind) -> SpectralPath:
             % (err, where, ", ..." if len(err.batch_indices) > 4 else ""),
             batch_indices=err.batch_indices,
         ) from None
-    return SpectralPath(grid=path.grid, values=spec)

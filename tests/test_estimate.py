@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from eigencollide import estimate
 from eigencollide.estimate import (
     box_count_dimension,
     box_dim,
@@ -15,7 +16,7 @@ from eigencollide.estimate import (
 )
 from eigencollide.gfield import KernelSpec, TimeGrid, sample_fbm_1d
 from eigencollide.matfield import EnsembleSpec, sample_ensemble
-from eigencollide.spectra import pattern_gap_values
+from eigencollide.spectra import NumericalError, pattern_gap_values, spectral_path
 from eigencollide.theory import CollisionPattern, HurstVector, SpectralKind, Verdict
 
 
@@ -61,7 +62,33 @@ def test_collision_prob_nested_and_deterministic():
     assert a.hits[0] >= a.hits[1] >= a.hits[2]  # nested events
 
 
+def _nan_at_point_3(path_index):
+    """A `matfield.sample_fbm_1d` whose draw of entry (0, 1) on path
+    `path_index` is NaN at grid point 3; every other draw is unchanged."""
+
+    def planted(H, grid, seed, key=()):
+        sample = sample_fbm_1d(H, grid, seed, key)
+        if key[:2] != (path_index, 1):
+            return sample
+        values = sample.values.copy()
+        values[3] = np.nan
+        return dataclasses.replace(sample, values=values)
+
+    return planted
+
+
 def test_collision_prob_counts_nan_path_as_failed(monkeypatch):
+    # plain 2x2 paths take the plane route, which draws entries but no
+    # matrix path, so the NaN is planted in the entry draw
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(7))
+    grid = TimeGrid.unit([8])
+    est = collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (1e9, 0.5), 100, 3)
+    assert est.n_failed == 1
+    assert est.hits[0] == 99
+    assert est.fractions[0] == 1.0
+
+
+def test_collision_prob_counts_nan_path_as_failed_3x3(monkeypatch):
     def planted(spec, grid, seed, path_index=0):
         path = sample_ensemble(spec, grid, seed, path_index)
         if path_index != 7:
@@ -72,10 +99,126 @@ def test_collision_prob_counts_nan_path_as_failed(monkeypatch):
 
     monkeypatch.setattr("eigencollide.estimate.sample_ensemble", planted)
     grid = TimeGrid.unit([8])
-    est = collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (1e9, 0.5), 100, 3)
+    spec, pattern = ensemble(["1/2"], shape=(3,)), CollisionPattern((2,), 3)
+    est = collision_prob(spec, pattern, RE, grid, (1e9, 0.5), 100, 3)
     assert est.n_failed == 1
     assert est.hits[0] == 99
     assert est.fractions[0] == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
+def test_box_dim_nan_path_names_grid_coordinates(monkeypatch, d):
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(0))
+    named = r"non-finite entries in 1 matrices \(grid coordinates \[\(3,\)\]\)"
+    with pytest.raises(NumericalError, match=named):
+        box_dim(
+            ensemble(["1/2"], shape=(d,)), CollisionPattern((2,), d), RE,
+            TimeGrid.unit([8]), 0, [0.5, 0.25],
+        )
+
+
+# -- plane route (plain 2x2) --------------------------------------------
+
+PLANE_GRIDS = {
+    "sheet-256": (["1/2", "1/2"], TimeGrid.unit([256, 256])),
+    "sheet-512": (["1/2", "1/2"], TimeGrid.unit([512, 512])),
+    "sheet-2/5-96": (["2/5", "1/2"], TimeGrid.unit([96, 96])),
+    "sheet-3/4-40x50": (["1/2", "3/4"], TimeGrid.unit([40, 50])),
+    "bm-4096": (["1/2"], TimeGrid.unit([4096])),
+    "bm-2": (["1/2"], TimeGrid.unit([2])),
+    "fbm-3/10-4096": (["3/10"], TimeGrid.unit([4096])),
+    "fbm-7/10-dense": (["7/10"], TimeGrid([(1.05, 2.0)], [1000])),
+}
+
+
+def _general_gaps(spec, grid, seed, path_index):
+    kind = SpectralKind.REAL_EIGEN if spec.beta == 1 else SpectralKind.COMPLEX_EIGEN
+    path = sample_ensemble(spec, grid, seed, path_index)
+    return pattern_gap_values(spectral_path(path, kind).values, PAT2)
+
+
+def _plane_gaps(spec, grid, seed, path_index):
+    kind = SpectralKind.REAL_EIGEN if spec.beta == 1 else SpectralKind.COMPLEX_EIGEN
+    return estimate._path_gaps(spec, PAT2, kind, grid, seed, path_index)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("case", sorted(PLANE_GRIDS))
+def test_plane_route_gaps_bitwise_equal_general_route(case, beta):
+    hs, grid = PLANE_GRIDS[case]
+    spec = ensemble(hs, beta=beta)
+    for path_index in (0, 3, 101):
+        got = _plane_gaps(spec, grid, 21, path_index)
+        want = _general_gaps(spec, grid, 21, path_index)
+        assert got.shape == want.shape == grid.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_plane_route_bitwise_on_ties(monkeypatch, beta):
+    # point 3: xi_12 = 0; point 5: also xi_11 = xi_22, a collision with gap
+    # exactly 0; point 7: |xi_12| equals |a - c| / 2, a tie of the two legs
+    def planted(H, grid, seed, key=()):
+        def diagonal(entry):  # sqrt(2) xi_ii, as assembled
+            return sample_fbm_1d(H, grid, seed, (key[0], entry, 0)).values * np.sqrt(2.0)
+
+        sample = sample_fbm_1d(H, grid, seed, key)
+        values = sample.values.copy()
+        if key[1] == 1:  # xi_12 and eta_12
+            values[[3, 5]] = 0.0
+            values[7] = abs(0.5 * diagonal(0)[7] - 0.5 * diagonal(3)[7])
+        elif key[1] == 3:  # xi_22
+            values[5] = sample_fbm_1d(H, grid, seed, (key[0], 0, 0)).values[5]
+        return dataclasses.replace(sample, values=values)
+
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", planted)
+    grid = TimeGrid.unit([16])
+    spec = ensemble(["1/2"], beta=beta)
+    for path_index in (0, 4):
+        got = _plane_gaps(spec, grid, 8, path_index)
+        want = _general_gaps(spec, grid, 8, path_index)
+        assert got[5] == 0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_plane_route_thread_count_cannot_matter():
+    grid = TimeGrid.unit([64, 64])
+    ladder = (0.5, 0.1, 0.02)
+    spec = ensemble(["1/2", "1/2"])
+    a = collision_prob(spec, PAT2, RE, grid, ladder, 100, 13, threads=1)
+    b = collision_prob(spec, PAT2, RE, grid, ladder, 100, 13, threads=2)
+    assert a == b
+
+
+ROUTES = {
+    "2x2": (ensemble(["1/2"]), PAT2, RE, 0),
+    "3x3": (ensemble(["1/2"], shape=(3,)), CollisionPattern((2,), 3), RE, 1),
+    "2x2-shift": (
+        EnsembleSpec(1, (2,), KernelSpec(HurstVector(["1/2"])), shift=np.diag([0.0, 1.0])),
+        PAT2, RE, 1,
+    ),
+    "2x2-transform": (
+        EnsembleSpec(1, (2,), KernelSpec(HurstVector(["1/2"])), transform=np.eye(2)),
+        PAT2, RE, 1,
+    ),
+    "2x3-singular": (
+        ensemble(["1/2"], shape=(2, 3)), PAT2, SpectralKind.REAL_SINGULAR, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTES))
+def test_only_plain_2x2_takes_the_plane_route(monkeypatch, case):
+    spec, pattern, kind, general_calls = ROUTES[case]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return sample_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", spy)
+    box_dim(spec, pattern, kind, TimeGrid.unit([8]), 0, [0.5, 0.25])
+    assert len(calls) == general_calls
 
 
 def test_collision_prob_validates():

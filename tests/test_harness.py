@@ -564,3 +564,34 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     rc = cli(["predict", "--config", str(cfg_file)])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, shape, resolution, nbytes",
+    [
+        ("complex-eigen", "[3]", "[8192, 8192]", 2**26 * 9 * 16),
+        ("real-eigen", "[2]", "[8192, 4097]", 8192 * 4097 * 4 * 8),
+        ("real-singular", "[2, 3]", "[8192, 4096]", 8192 * 4096 * 6 * 8),
+    ],
+)
+def test_matrix_path_over_the_memory_budget_is_refused(
+    tmp_path, capsys, kind, shape, resolution, nbytes
+):
+    # validation only: neither parsing nor the refused command allocates a path
+    text = (
+        MINIMAL.replace("kind: real-eigen", "kind: " + kind)
+        .replace("shape: [2]", "shape: " + shape)
+        .replace("resolution: [32, 32]", "resolution: " + resolution)
+    )
+    named = "a matrix path takes %d bytes, over the budget of %d bytes" % (nbytes, 2**30)
+    with pytest.raises(ConfigError, match=named):
+        parse_config(text)
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(text)
+    assert cli(["simulate", "--config", str(cfg_file)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_matrix_path_at_the_memory_budget_is_accepted():
+    # 8192 x 4096 points of 2x2 float64 matrices: exactly 2**30 bytes
+    parse_config(MINIMAL.replace("resolution: [32, 32]", "resolution: [8192, 4096]"))

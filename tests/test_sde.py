@@ -267,16 +267,17 @@ def test_broken_paths_pinned(monkeypatch):
 @pytest.mark.parametrize(
     "block, chunk",
     [
-        pytest.param(1, sde._CHUNK_PATHS, id="1"),
-        pytest.param(7, sde._CHUNK_PATHS, id="7"),
-        pytest.param(sde._BLOCK_STEPS, sde._CHUNK_PATHS, id=str(sde._BLOCK_STEPS)),
+        pytest.param(1, None, id="1"),
+        pytest.param(7, None, id="7"),
+        pytest.param(sde._BLOCK_STEPS, None, id=str(sde._BLOCK_STEPS)),
         pytest.param(sde._BLOCK_STEPS, 1, id="chunk1"),
         pytest.param(sde._BLOCK_STEPS, 2, id="chunk2"),
     ],
 )
 def test_noise_block_size_does_not_change_paths(monkeypatch, block, chunk):
     monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
-    monkeypatch.setattr(sde, "_CHUNK_PATHS", chunk)
+    if chunk is not None:  # None keeps the budget's chunk, one for all five paths
+        monkeypatch.setattr(sde, "_chunk_paths", lambda d: chunk)
     # 200 steps plus the warm-up ramp are no multiple of 7; two extra paths
     # share the chunk without changing the pinned ones, and chunks of 1 or
     # 2 paths split the five paths without changing them either
@@ -396,3 +397,12 @@ def test_fractional_wishart_drift_time_dependence():
         t = rng.uniform(0.1, 3.0)
         got = fractional_wishart_drift_coeffs("2/3", t, xs, 5)
         assert got.sum() == pytest.approx((4 / 3) * 4 * 5 * t ** (1 / 3), rel=1e-9)
+
+
+def test_chunk_fits_the_noise_budget():
+    # criterion 9's 10 000 paths at d = 2 run as one chunk
+    assert sde._chunk_paths(2) == 16384
+    for d in range(1, 65):
+        chunk = sde._chunk_paths(d)
+        assert chunk * 8 * sde._BLOCK_STEPS * d <= sde._NOISE_BUDGET
+        assert (chunk + 1) * 8 * sde._BLOCK_STEPS * d > sde._NOISE_BUDGET
