@@ -3,7 +3,7 @@
 Subcommands, with the shared flags each one takes besides its own:
 
     predict         exact verdict and dimension         --config --json
-    simulate        Monte Carlo path 0's spectra        --config --seed --json
+    simulate        path 0's spectrum range and gap     --config --seed --json
     collide-prob    hit fractions over the eps ladder   --config --seed --threads --json
     boxdim          box count of path 0's collisions    --config --seed --json
     sde             eigenvalue SDE paths, CSV           --seed --out --json
@@ -196,7 +196,7 @@ def _predict(args) -> int:
 
 def _simulate(args) -> int:
     cfg = _load_config(args)
-    payload, _, _ = simulate(cfg)
+    payload, _ = simulate(cfg)
     payload["grid_points"] = int(np.prod(cfg.resolution))
     if args.dump_field:
         dump_field_csv(cfg, args.dump_field)

@@ -20,16 +20,15 @@ and passes its gaps to `box_count_dimension` and the estimate to
 of its paths; threading it through would add a parameter to save 1/paths
 of the work.
 
-A path's gaps come from one of two routes, chosen from the ensemble
-alone.  A plain 2x2 self-adjoint ensemble (shape (2,), no shift, no
-transform) takes the plane route: the entry draws go straight into the
-closed-form spectrum, and the gap is hi - lo, with no matrix path, spectra
-array or gap DP.  Every other ensemble (d >= 3, a shift or transform, 2xn
-singular values) takes the general route: matrix path, `spectral_path`,
-`pattern_gap_values`.  The plane route's gaps are bitwise those of the
-general route, and the simulate stage of `harness.run` stays on the
-general route.  Both routes allocate per call only, with no shared
-buffer, so worker threads cannot interfere.
+`_path`, the one path kernel (also `harness.simulate`'s), has two routes,
+chosen from the ensemble alone.  A plain 2x2 self-adjoint ensemble (shape
+(2,), no shift, no transform) takes the plane route: the entry draws go
+straight into the closed-form spectrum, and the gap is hi - lo, with no
+matrix path, spectra array or gap DP.  Every other ensemble (d >= 3, a
+shift or transform, 2xn singular values) takes the general route: matrix
+path, `spectral_path`, `pattern_gap_values`.  The plane route's results
+are bitwise those of the general route.  Both routes allocate per call
+only, with no shared buffer, so worker threads cannot interfere.
 
 Paths are independent across workers and the reduction is ordered by path
 index, so results are identical for any thread count.
@@ -160,22 +159,25 @@ def _check_matches(spec: EnsembleSpec, pattern: CollisionPattern, kind: Spectral
         )
 
 
-def _path_gaps(spec, pattern, kind, grid, seed, path_index) -> np.ndarray:
-    """Pattern gaps of Monte Carlo path `path_index` on the grid.
+def _path(spec, pattern, kind, grid, seed, path_index):
+    """(spectrum min, spectrum max, pattern gaps) of Monte Carlo path
+    `path_index` on the grid.
 
     A plain 2x2 square ensemble (no shift, no transform) takes the plane
     route: its gap is hi - lo of the closed-form spectrum of the entry
     draws, bitwise equal to the general route's DP over `spectral_path`,
-    because (2,) is the only pattern with d = 2 and hi >= lo.
+    because (2,) is the only pattern with d = 2 and hi >= lo.  Spectra
+    ascend along the last axis and min/max do not round, so the extremes
+    of the first and last values are bitwise those of the whole spectra.
     """
     if spec.shape == (2,) and spec.shift is None and spec.transform is None:
         with _grid_coordinates(grid):
             lo, hi = _plane_spectrum(*_plane_entries(spec, grid, seed, path_index))
+        low, high = lo.min(), hi.max()
         hi -= lo
-        return hi
-    mat = sample_ensemble(spec, grid, seed, path_index)
-    spath = spectral_path(mat, kind)
-    return pattern_gap_values(spath.values, pattern)
+        return low, high, hi
+    values = spectral_path(sample_ensemble(spec, grid, seed, path_index), kind).values
+    return values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
 
 
 def collision_prob(
@@ -205,7 +207,7 @@ def collision_prob(
 
     def one(p: int) -> float:
         try:
-            return float(_path_gaps(spec, pattern, kind, grid, seed, p).min())
+            return float(_path(spec, pattern, kind, grid, seed, p)[2].min())
         except NumericalError:
             return math.nan
 
@@ -340,7 +342,7 @@ def box_dim(
     """
     _check_matches(spec, pattern, kind)
     holder = _box_holder(spec)
-    gaps = _path_gaps(spec, pattern, kind, grid, seed, 0)
+    gaps = _path(spec, pattern, kind, grid, seed, 0)[2]
     return box_count_dimension(gaps, grid, delta_ladder, holder=holder, kappa=kappa)
 
 

@@ -129,12 +129,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One draw of the field on a grid, tagged with its stream identity."""
+    """One draw of the field on a grid."""
 
-    grid: TimeGrid
     values: np.ndarray
-    seed: int
-    key: tuple[int, ...]
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -290,13 +287,13 @@ def sample_fbm_1d(H, grid: TimeGrid, seed: int, key: tuple[int, ...] = ()) -> Fi
         if sqrt_eigs is not None:
             incr = _fgn_draw(sqrt_eigs, n_incr, rng)
             path = np.concatenate([[0.0], np.cumsum(incr)])
-            return FieldSample(grid, path[presteps:].copy(), seed, tuple(key))
+            return FieldSample(path[presteps:].copy())
     if n > _MAX_DENSE:
         raise FactorizationError(
             "no circulant embedding and grid too large (%d) for dense fallback" % n
         )
     values = _axis_factor(h, a, b, n) @ rng.standard_normal(n)
-    return FieldSample(grid, values, seed, tuple(key))
+    return FieldSample(values)
 
 
 def sample_sheet(
@@ -326,7 +323,7 @@ def sample_sheet(
             continue
         factor = _axis_factor(h, a, b, grid.shape[j])
         values = np.moveaxis(np.tensordot(factor, values, axes=(1, j)), 0, j)
-    return FieldSample(grid, np.ascontiguousarray(values), seed, tuple(key))
+    return FieldSample(np.ascontiguousarray(values))
 
 
 @dataclass(frozen=True)

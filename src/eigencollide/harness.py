@@ -10,15 +10,16 @@ under the configured directory:
 
     record.json   scientific results; byte-identical across reruns and
                   thread counts for a fixed (config, seed)
-    meta.json     timings and timestamps, deliberately kept out of
+    meta.json     timings, each failed stage's exception type and
+                  traceback, and timestamps, deliberately kept out of
                   record.json so determinism is checkable byte for byte
     hits.csv      per-epsilon hit fractions
     boxes.csv     per-delta box counts (when box counting is requested)
 
-`simulate` draws Monte Carlo path 0 once: its summary is the simulate
-stage's output (and the `simulate` command's), and its gap grid feeds the
-box count of the estimate stage.  The Monte Carlo estimate draws path 0
-again as one of its paths.
+`simulate` draws Monte Carlo path 0 once, by the estimators' path kernel:
+its summary is the simulate stage's output (and the `simulate` command's),
+and its gap grid feeds the box count of the estimate stage.  The Monte
+Carlo estimate draws path 0 again as one of its paths.
 
 Rationals are rendered as exact "p/q" strings in all JSON output.
 """
@@ -29,6 +30,7 @@ import hashlib
 import json
 import math
 import time
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -36,10 +38,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .estimate import _box_holder, box_count_dimension, verdict_experiment
+from .estimate import _box_holder, _path, box_count_dimension, verdict_experiment
 from .gfield import KernelSpec, TimeGrid, sample_sheet, verify_assumptions
-from .matfield import EnsembleSpec, sample_ensemble
-from .spectra import SpectralPath, pattern_gap_values, spectral_path
+# sample_ensemble, spectral_path, pattern_gap_values: unused, bound for the benchmark's tracer
+from .matfield import EnsembleSpec, sample_ensemble  # noqa: F401
+from .spectra import pattern_gap_values, spectral_path  # noqa: F401
 from .theory import CollisionPattern, HurstVector, SpectralKind, dichotomy
 
 __all__ = [
@@ -57,8 +60,8 @@ _KINDS = {k.value: k for k in SpectralKind}
 
 _DEFAULT_EPS = (0.4, 0.2, 0.11, 0.1)
 # largest matrix path (grid points x d1 x d2 x itemsize) a config may ask
-# for; the simulate stage allocates it, and its spectra and temporaries
-# take a few times more
+# for; a general-route path allocates it, and its spectra and temporaries
+# take a few times more (a plain 2x2 path allocates its entry grids instead)
 _MAX_PATH_BYTES = 1 << 30
 
 
@@ -339,6 +342,7 @@ class RunRecord:
     outputs: dict
     warnings: tuple[str, ...]
     timings: dict
+    failures: dict  # stage -> exception type name and traceback (meta.json only)
 
     def scientific_json(self) -> str:
         payload = {
@@ -350,26 +354,26 @@ class RunRecord:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def simulate(cfg: ExperimentConfig) -> tuple[dict, SpectralPath, np.ndarray]:
-    """Monte Carlo path 0 of `cfg`: its spectral summary, its spectra and
-    its grid of pattern gaps."""
-    mat = sample_ensemble(cfg.ensemble(), cfg.time_grid(), cfg.seed, path_index=0)
-    spath = spectral_path(mat, cfg.spectral_kind)
-    gaps = pattern_gap_values(spath.values, cfg.collision_pattern())
+def simulate(cfg: ExperimentConfig) -> tuple[dict, np.ndarray]:
+    """Monte Carlo path 0 of `cfg`: its spectral summary and its grid of
+    pattern gaps, from the estimators' path kernel."""
+    low, high, gaps = _path(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind,
+                            cfg.time_grid(), cfg.seed, 0)
     summary = {
         "path_index": 0,
-        "spectrum_min": float(spath.values.min()),
-        "spectrum_max": float(spath.values.max()),
+        "spectrum_min": float(low),
+        "spectrum_max": float(high),
         "min_pattern_gap": float(gaps.min()),
     }
-    return summary, spath, gaps
+    return summary, gaps
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     """Execute predict -> simulate -> estimate, then persist.
 
-    A stage failure is recorded in `warnings` with partial outputs
-    preserved; the record is still written.
+    A stage failure is recorded in `warnings` (its exception type and
+    traceback in `failures`), partial outputs preserved; the record is
+    still written.
     """
     check_config(cfg)
     kind = cfg.spectral_kind
@@ -380,6 +384,11 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     outputs: dict = {}
     warnings: list[str] = []
     timings: dict = {}
+    failures: dict = {}
+
+    def fail(stage: str, err: Exception) -> None:
+        warnings.append("%s failed: %s" % (stage, err))
+        failures[stage] = {"type": type(err).__name__, "traceback": traceback.format_exc()}
 
     t0 = time.perf_counter()
     verdict = dichotomy(ensemble.kernel.hurst, kind, pattern)
@@ -389,11 +398,10 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     t0 = time.perf_counter()
     gaps = simulate_error = None
     try:
-        outputs["simulate"], spectra, gaps = simulate(cfg)
-        del spectra  # only the summary and the gaps outlive the stage
+        outputs["simulate"], gaps = simulate(cfg)
     except Exception as err:  # record and continue: partial outputs survive
         simulate_error = err
-        warnings.append("simulate failed: %s" % err)
+        fail("simulate", err)
     timings["simulate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -421,7 +429,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
         if report.boxdim is not None and not report.boxdim.reliable:
             warnings.append("boxdim unreliable: %s" % "; ".join(report.boxdim.notes))
     except Exception as err:
-        warnings.append("estimate failed: %s" % err)
+        fail("estimate", err)
     timings["estimate"] = time.perf_counter() - t0
 
     record = RunRecord(
@@ -430,6 +438,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
         outputs=outputs,
         warnings=tuple(warnings),
         timings=timings,
+        failures=failures,
     )
     target = out_dir or cfg.out_dir
     if target is not None:
@@ -441,7 +450,8 @@ def _persist(record: RunRecord, cfg: ExperimentConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.yaml").write_text(render_config(cfg))
     (out / "record.json").write_text(record.scientific_json() + "\n")
-    meta = {"timings": record.timings, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    meta = {"timings": record.timings, "failures": record.failures,
+            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     est = record.outputs.get("estimate")
     if est:

@@ -11,10 +11,11 @@ Entry streams are keyed by (path index, entry index, real/imag part), so
 Monte Carlo paths are reproducible and independent of scheduling; one
 helper, `_entry_draw`, forms that key for every draw.
 
-For a plain 2x2 self-adjoint ensemble the Monte Carlo estimators skip the
-matrix path: `_plane_entries` draws the same entry streams and returns the
-grid-shaped diagonal (a, c) and modulus |b| of the off-diagonal entry,
-bitwise the values `assemble_selfadjoint` stores.
+For a plain 2x2 self-adjoint ensemble the Monte Carlo path kernel
+`estimate._path`, shared by the estimators and `harness.simulate`, skips
+the matrix path: `_plane_entries` draws the same entry streams and
+returns the grid-shaped diagonal (a, c) and modulus |b| of the
+off-diagonal entry, bitwise the values `assemble_selfadjoint` stores.
 
 Storage: complex128 (interleaved real/imag) only when beta = 2; the real
 case stays float64 and never allocates an imaginary plane.
@@ -121,7 +122,6 @@ class MatrixPath:
 
     grid: TimeGrid
     values: np.ndarray  # grid.shape + (d1, d2)
-    beta: int
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -173,7 +173,7 @@ def assemble_selfadjoint(
             else:
                 out[..., i, j] = xi
                 out[..., j, i] = xi
-    return MatrixPath(grid=grid, values=out, beta=spec.beta)
+    return MatrixPath(grid=grid, values=out)
 
 
 def _plane_entries(
@@ -212,7 +212,7 @@ def assemble_rect(
                 out[..., i, j] = xi + 1j * eta
             else:
                 out[..., i, j] = xi
-    return MatrixPath(grid=grid, values=out, beta=spec.beta)
+    return MatrixPath(grid=grid, values=out)
 
 
 def affine(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
@@ -239,7 +239,7 @@ def affine(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
             values = values @ spec.transform_right
         if spec.shift is not None:
             values = values + spec.shift
-    return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values), beta=path.beta)
+    return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values))
 
 
 def sample_ensemble(

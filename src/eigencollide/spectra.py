@@ -60,7 +60,6 @@ class NumericalError(RuntimeError):
 class SpectralPath:
     """Ordered eigenvalues or singular values at every grid point."""
 
-    grid: TimeGrid
     values: np.ndarray  # grid.shape + (k,), non-decreasing along the last axis
 
     def __post_init__(self):
@@ -338,7 +337,7 @@ def spectral_path(path, kind: SpectralKind) -> SpectralPath:
             raise ValueError("eigen kind needs square matrices")
         compute = eigvals_selfadjoint
     with _grid_coordinates(path.grid):
-        return SpectralPath(grid=path.grid, values=compute(values))
+        return SpectralPath(values=compute(values))
 
 
 @contextmanager

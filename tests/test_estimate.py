@@ -15,6 +15,7 @@ from eigencollide.estimate import (
     wilson_interval,
 )
 from eigencollide.gfield import KernelSpec, TimeGrid, sample_fbm_1d
+from eigencollide.harness import ExperimentConfig, simulate
 from eigencollide.matfield import EnsembleSpec, sample_ensemble
 from eigencollide.spectra import NumericalError, pattern_gap_values, spectral_path
 from eigencollide.theory import CollisionPattern, HurstVector, SpectralKind, Verdict
@@ -139,7 +140,7 @@ def _general_gaps(spec, grid, seed, path_index):
 
 def _plane_gaps(spec, grid, seed, path_index):
     kind = SpectralKind.REAL_EIGEN if spec.beta == 1 else SpectralKind.COMPLEX_EIGEN
-    return estimate._path_gaps(spec, PAT2, kind, grid, seed, path_index)
+    return estimate._path(spec, PAT2, kind, grid, seed, path_index)[2]
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -190,26 +191,28 @@ def test_plane_route_thread_count_cannot_matter():
     assert a == b
 
 
+def _route_config(shape, kind="real-eigen", **affine):
+    return ExperimentConfig(
+        kind=kind, shape=shape, pattern=(2,), hurst=("1/2",), resolution=(8,),
+        interval=((1.0, 2.0),), **affine,
+    )
+
+
+# config -> matrix paths one path draws (the general route's sample_ensemble)
 ROUTES = {
-    "2x2": (ensemble(["1/2"]), PAT2, RE, 0),
-    "3x3": (ensemble(["1/2"], shape=(3,)), CollisionPattern((2,), 3), RE, 1),
-    "2x2-shift": (
-        EnsembleSpec(1, (2,), KernelSpec(HurstVector(["1/2"])), shift=np.diag([0.0, 1.0])),
-        PAT2, RE, 1,
-    ),
-    "2x2-transform": (
-        EnsembleSpec(1, (2,), KernelSpec(HurstVector(["1/2"])), transform=np.eye(2)),
-        PAT2, RE, 1,
-    ),
-    "2x3-singular": (
-        ensemble(["1/2"], shape=(2, 3)), PAT2, SpectralKind.REAL_SINGULAR, 1,
-    ),
+    "2x2": (_route_config((2,)), 0),
+    "3x3": (_route_config((3,)), 1),
+    "2x2-shift": (_route_config((2,), shift=((0.0, 0.0), (0.0, 1.0))), 1),
+    "2x2-transform": (_route_config((2,), transform=((1.0, 0.0), (0.0, 1.0))), 1),
+    "2x3-singular": (_route_config((2, 3), kind="real-singular"), 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROUTES))
 def test_only_plain_2x2_takes_the_plane_route(monkeypatch, case):
-    spec, pattern, kind, general_calls = ROUTES[case]
+    # both readers of path 0, the estimators and the simulate stage, route
+    # through the one path kernel
+    cfg, general_calls = ROUTES[case]
     calls = []
 
     def spy(*args, **kwargs):
@@ -217,7 +220,11 @@ def test_only_plain_2x2_takes_the_plane_route(monkeypatch, case):
         return sample_ensemble(*args, **kwargs)
 
     monkeypatch.setattr("eigencollide.estimate.sample_ensemble", spy)
-    box_dim(spec, pattern, kind, TimeGrid.unit([8]), 0, [0.5, 0.25])
+    box_dim(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind, cfg.time_grid(), 0,
+            [0.5, 0.25])
+    assert len(calls) == general_calls
+    calls.clear()
+    simulate(cfg)
     assert len(calls) == general_calls
 
 

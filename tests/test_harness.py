@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 from eigencollide.cli import _build_parser, cli
+from eigencollide.gfield import sample_fbm_1d
 from eigencollide.harness import (
     ConfigError,
+    check_config,
     config_hash,
     parse_config,
     render_config,
     run,
+    simulate,
 )
 from eigencollide.matfield import sample_ensemble
+from eigencollide.spectra import pattern_gap_values, spectral_path
 
 MINIMAL = """
 kind: real-eigen
@@ -184,24 +188,55 @@ def _stage_warnings(text, tmp_path):
     return list(rec.warnings)
 
 
-def test_run_boxdim_path0_numerical_failure_fails_estimate(tmp_path, monkeypatch):
+def _nan_at_point_5(values):
+    values = values.copy()
+    values[5] = np.nan
+    return values
+
+
+def _assert_path0_failure(text, tmp_path):
     # The box count uses path 0's gaps from the simulate stage, so a path 0
     # the eigensolver rejects fails the estimate stage with the same message.
-    def planted(spec, grid, seed, path_index=0):
-        path = sample_ensemble(spec, grid, seed, path_index)
-        if path_index != 0:
-            return path
-        values = path.values.copy()
-        values[5, 0, 1] = np.nan
-        return dataclasses.replace(path, values=values)
-
-    monkeypatch.setattr("eigencollide.harness.sample_ensemble", planted)
-    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", planted)
-    warnings = _stage_warnings(BOXED, tmp_path)
+    warnings = _stage_warnings(text, tmp_path)
     assert len(warnings) == 2
     message = warnings[0].removeprefix("simulate failed: ")
     assert "non-finite entries" in message and "(5,)" in message
     assert warnings[1] == "estimate failed: " + message
+    # the exception type and traceback go to meta.json, never to record.json
+    failures = json.loads((tmp_path / "meta.json").read_text())["failures"]
+    assert {stage: f["type"] for stage, f in failures.items()} == {
+        "simulate": "NumericalError",
+        "estimate": "NumericalError",
+    }
+    for f in failures.values():
+        assert f["traceback"].startswith("Traceback (most recent call last):")
+        assert f["traceback"].rstrip().endswith("NumericalError: " + message)
+    record = (tmp_path / "record.json").read_text()
+    assert "Traceback" not in record and "NumericalError" not in record
+
+
+def test_run_boxdim_path0_numerical_failure_fails_estimate(tmp_path, monkeypatch):
+    # plain 2x2 paths take the plane route, which draws entries but no
+    # matrix path, so the NaN is planted in the draw of entry (0, 1)
+    def planted(H, grid, seed, key=()):
+        sample = sample_fbm_1d(H, grid, seed, key)
+        if key[:2] != (0, 1):
+            return sample
+        return dataclasses.replace(sample, values=_nan_at_point_5(sample.values))
+
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", planted)
+    _assert_path0_failure(BOXED, tmp_path)
+
+
+def test_run_boxdim_path0_numerical_failure_fails_estimate_3x3(tmp_path, monkeypatch):
+    def planted(spec, grid, seed, path_index=0):
+        path = sample_ensemble(spec, grid, seed, path_index)
+        if path_index != 0:
+            return path
+        return dataclasses.replace(path, values=_nan_at_point_5(path.values))
+
+    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", planted)
+    _assert_path0_failure(BOXED.replace("shape: [2]", "shape: [3]"), tmp_path)
 
 
 def test_run_boxdim_oversize_failure_fails_estimate(tmp_path):
@@ -220,6 +255,41 @@ def test_run_boxdim_strong_anisotropy_fails_estimate(tmp_path):
     assert _stage_warnings(text, tmp_path) == [
         "estimate failed: anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting"
     ]
+
+
+# config overrides of MINIMAL (2x2 real on a 32x32 sheet)
+SIMULATE_CASES = {
+    "2x2-beta1-1d": dict(hurst=("1/2",), resolution=(512,), interval=((1.0, 2.0),)),
+    "2x2-beta2-1d": dict(kind="complex-eigen", hurst=("3/10",), resolution=(512,),
+                         interval=((1.0, 2.0),)),
+    "2x2-beta1-2d": dict(),
+    "2x2-beta2-2d": dict(kind="complex-eigen"),
+    "3x3-transform": dict(shape=(3,), transform=((2.0, 0.5, 0.0), (0.0, 1.0, 0.0),
+                                                 (0.25, 0.0, 1.5))),
+    "2x3-singular": dict(kind="real-singular", shape=(2, 3)),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_equals_the_reference_pipeline_bitwise(case):
+    cfg = dataclasses.replace(parse_config(MINIMAL), **SIMULATE_CASES[case])
+    check_config(cfg)
+    path = sample_ensemble(cfg.ensemble(), cfg.time_grid(), cfg.seed, 0)
+    values = spectral_path(path, cfg.spectral_kind).values
+    want = pattern_gap_values(values, cfg.collision_pattern())
+    summary, gaps = simulate(cfg)
+    assert np.array_equal(_bits(gaps), _bits(want))
+    assert summary["path_index"] == 0
+    for key, value in (
+        ("spectrum_min", values.min()),
+        ("spectrum_max", values.max()),
+        ("min_pattern_gap", want.min()),
+    ):
+        assert _bits(summary[key]) == _bits(value), key
 
 
 # -- CLI ----------------------------------------------------------------

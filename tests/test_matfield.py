@@ -35,7 +35,7 @@ def affine_inverse(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
             values = np.linalg.inv(t) @ values
         if spec.transform_right is not None:
             values = values @ np.linalg.inv(spec.transform_right)
-    return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values), beta=path.beta)
+    return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values))
 
 
 def draws_selfadjoint(beta, d, m, seed=5):
