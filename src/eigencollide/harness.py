@@ -41,7 +41,7 @@ from . import __version__
 from .estimate import _box_holder, _path, box_count_dimension, verdict_experiment
 from .gfield import KernelSpec, TimeGrid, sample_sheet, verify_assumptions
 # sample_ensemble, spectral_path, pattern_gap_values: unused, bound for the benchmark's tracer
-from .matfield import EnsembleSpec, sample_ensemble  # noqa: F401
+from .matfield import EnsembleSpec, _check_path_bytes, sample_ensemble  # noqa: F401
 from .spectra import pattern_gap_values, spectral_path  # noqa: F401
 from .theory import CollisionPattern, HurstVector, SpectralKind, dichotomy
 
@@ -59,10 +59,6 @@ __all__ = [
 _KINDS = {k.value: k for k in SpectralKind}
 
 _DEFAULT_EPS = (0.4, 0.2, 0.11, 0.1)
-# largest matrix path (grid points x d1 x d2 x itemsize) a config may ask
-# for; a general-route path allocates it, and its spectra and temporaries
-# take a few times more (a plain 2x2 path allocates its entry grids instead)
-_MAX_PATH_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -298,13 +294,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     except ValueError as err:
         out.append("ensemble: %s" % err)
         return out
-    d1, d2 = ensemble.dims
-    nbytes = math.prod(cfg.resolution) * d1 * d2 * np.dtype(ensemble.dtype).itemsize
-    if nbytes > _MAX_PATH_BYTES:
-        out.append(
-            "a matrix path takes %d bytes, over the budget of %d bytes"
-            % (nbytes, _MAX_PATH_BYTES)
-        )
+    try:
+        _check_path_bytes(ensemble, cfg.time_grid())
+    except ValueError as err:
+        out.append(str(err))
     return out
 
 

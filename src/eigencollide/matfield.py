@@ -9,13 +9,22 @@ A + T X T* (square) and B + T W Ttilde (rectangular) sit on top.
 
 Entry streams are keyed by (path index, entry index, real/imag part), so
 Monte Carlo paths are reproducible and independent of scheduling; one
-helper, `_entry_draw`, forms that key for every draw.
+helper, `_entry_key`, forms that key for every draw.  One fill per class
+(`_fill_selfadjoint`, `_fill_rect`) turns entry draws into matrices,
+whether the draws cover the whole grid (`assemble_*`) or a block of rows.
 
-For a plain 2x2 self-adjoint ensemble the Monte Carlo path kernel
-`estimate._path`, shared by the estimators and `harness.simulate`, skips
-the matrix path: `_plane_entries` draws the same entry streams and
-returns the grid-shaped diagonal (a, c) and modulus |b| of the
-off-diagonal entry, bitwise the values `assemble_selfadjoint` stores.
+The Monte Carlo path kernel `estimate._path_rows` walks a path in blocks
+of rows along axis 0.  `_row_draws` hands it each block's entry draws,
+and `_ensemble_rows` each block of `sample_ensemble`'s matrices; for a
+plain 2x2 self-adjoint ensemble `_plane_entries` turns a block's draws
+into its diagonal (a, c) and modulus |b| of the off-diagonal entry,
+bitwise the values `assemble_selfadjoint` stores, and no matrix is built.
+A block draws only its own rows when every axis of the sheet has
+H = 1/2 (see `gfield._sheet_rows`); a sheet with a dense axis is drawn
+whole per entry and sliced, and a 1-d grid is always one block.
+
+A matrix path over `_MAX_PATH_BYTES` (1 GiB) is refused by `assemble_*`
+before anything is drawn, and by config validation.
 
 Storage: complex128 (interleaved real/imag) only when beta = 2; the real
 case stays float64 and never allocates an imaginary plane.
@@ -23,11 +32,12 @@ case stays float64 and never allocates an imaginary plane.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gfield import KernelSpec, TimeGrid, sample_fbm_1d, sample_sheet
+from .gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d, sample_sheet
 
 __all__ = [
     "EnsembleSpec",
@@ -40,6 +50,9 @@ __all__ = [
 _PART_REAL = 0
 _PART_IMAG = 1
 _INVERTIBILITY_RTOL = 1e-10
+# largest matrix path (grid points x d1 x d2 x itemsize) `assemble_*` build
+# and a config may ask for; its spectra and temporaries take a few times more
+_MAX_PATH_BYTES = 1 << 30
 
 
 def _check_invertible(mat: np.ndarray, name: str) -> None:
@@ -137,14 +150,94 @@ def _scalar_draw(
     return sample_sheet(kernel, grid, seed, key).values
 
 
+def _entry_key(spec: EnsembleSpec, path_index: int, i: int, j: int, part: int) -> tuple:
+    """Stream key of matrix entry (i, j): (path index, i * d2 + j,
+    real/imag part), the one place entry streams are keyed."""
+    return (path_index, i * spec.dims[1] + j, part)
+
+
 def _entry_draw(
     spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, i: int, j: int,
     part: int,
 ) -> np.ndarray:
-    """Scalar field at matrix entry (i, j): the one place that keys entry
-    streams, as (path index, i * d2 + j, real/imag part)."""
-    entry = i * spec.dims[1] + j
-    return _scalar_draw(spec.kernel, grid, seed, (path_index, entry, part))
+    """Scalar field at matrix entry (i, j) over the whole grid."""
+    return _scalar_draw(spec.kernel, grid, seed, _entry_key(spec, path_index, i, j, part))
+
+
+def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
+    """Yield (first row, block shape, draw) for each block of `rows` rows
+    along axis 0 of Monte Carlo path `path_index`.
+
+    `draw(i, j, part)` returns the block of the scalar field at entry
+    (i, j) and must be called once per block for each entry the caller
+    uses.  A grid that `rows` covers, and any 1-d grid, is one block drawn
+    by `_entry_draw`; otherwise each entry is one `_sheet_rows` stream
+    under the key `_entry_draw` uses, so joined blocks are its values bit
+    for bit.
+    """
+    n0 = grid.shape[0]
+    if grid.ndim == 1 or rows >= n0:
+        yield 0, grid.shape, functools.partial(_entry_draw, spec, grid, seed, path_index)
+        return
+    streams = {}
+
+    def draw(i, j, part):
+        key = _entry_key(spec, path_index, i, j, part)
+        if key not in streams:
+            streams[key] = _sheet_rows(spec.kernel, grid, seed, key, rows)
+        return next(streams[key])
+
+    for start in range(0, n0, rows):
+        yield start, (min(rows, n0 - start),) + grid.shape[1:], draw
+
+
+def _check_path_bytes(spec: EnsembleSpec, grid: TimeGrid) -> None:
+    """Refuse, before anything is allocated, a matrix path of `spec` on
+    `grid` over `_MAX_PATH_BYTES`."""
+    d1, d2 = spec.dims
+    nbytes = grid.n_points * d1 * d2 * np.dtype(spec.dtype).itemsize
+    if nbytes > _MAX_PATH_BYTES:
+        raise ValueError(
+            "a matrix path takes %d bytes, over the budget of %d bytes"
+            % (nbytes, _MAX_PATH_BYTES)
+        )
+
+
+def _fill_selfadjoint(spec: EnsembleSpec, shape: tuple[int, ...], draw) -> np.ndarray:
+    """Self-adjoint matrices of the entry draws `draw(i, j, part)` of one
+    block: entries below the diagonal are the conjugates of the draws above
+    it, diagonal entries sqrt(2) times a real draw."""
+    d = spec.shape[0]
+    out = np.zeros(shape + (d, d), dtype=spec.dtype)
+    for i in range(d):
+        for j in range(i, d):
+            xi = draw(i, j, _PART_REAL)
+            if i == j:
+                np.multiply(xi, np.sqrt(2.0), out=out[..., i, i])
+                continue
+            if spec.beta == 2:
+                eta = draw(i, j, _PART_IMAG)
+                out[..., i, j] = xi + 1j * eta
+                out[..., j, i] = xi - 1j * eta
+            else:
+                out[..., i, j] = xi
+                out[..., j, i] = xi
+    return out
+
+
+def _fill_rect(spec: EnsembleSpec, shape: tuple[int, ...], draw) -> np.ndarray:
+    """Rectangular matrices of the i.i.d. entry draws of one block."""
+    d1, d2 = spec.shape
+    out = np.zeros(shape + (d1, d2), dtype=spec.dtype)
+    for i in range(d1):
+        for j in range(d2):
+            xi = draw(i, j, _PART_REAL)
+            if spec.beta == 2:
+                eta = draw(i, j, _PART_IMAG)
+                out[..., i, j] = xi + 1j * eta
+            else:
+                out[..., i, j] = xi
+    return out
 
 
 def assemble_selfadjoint(
@@ -154,65 +247,26 @@ def assemble_selfadjoint(
 
     Exactly Hermitian by construction: entries below the diagonal are the
     conjugates of the draws above it, diagonal entries are sqrt(2) times a
-    real draw (zero imaginary part also when beta = 2).
+    real draw (zero imaginary part also when beta = 2).  A path over
+    `_MAX_PATH_BYTES` raises ValueError before anything is drawn.
     """
     if not spec.is_square:
         raise ValueError("assemble_selfadjoint needs a square ensemble")
-    d = spec.shape[0]
-    out = np.zeros(grid.shape + (d, d), dtype=spec.dtype)
-    for i in range(d):
-        for j in range(i, d):
-            xi = _entry_draw(spec, grid, seed, path_index, i, j, _PART_REAL)
-            if i == j:
-                np.multiply(xi, np.sqrt(2.0), out=out[..., i, i])
-                continue
-            if spec.beta == 2:
-                eta = _entry_draw(spec, grid, seed, path_index, i, j, _PART_IMAG)
-                out[..., i, j] = xi + 1j * eta
-                out[..., j, i] = xi - 1j * eta
-            else:
-                out[..., i, j] = xi
-                out[..., j, i] = xi
-    return MatrixPath(grid=grid, values=out)
-
-
-def _plane_entries(
-    spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries (a, c, |b|) of the raw field [[a, b], [conj b, c]] of a
-    2x2 square ensemble.
-
-    Draws the same entry streams as `assemble_selfadjoint` and forms each
-    value with the same arithmetic, so the three grid-shaped arrays are
-    bitwise the diagonal and the modulus of the off-diagonal entry of its
-    matrix path; no (..., 2, 2) tensor is built.
-    """
-    a = _entry_draw(spec, grid, seed, path_index, 0, 0, _PART_REAL) * np.sqrt(2.0)
-    b = _entry_draw(spec, grid, seed, path_index, 0, 1, _PART_REAL)
-    if spec.beta == 2:
-        eta = _entry_draw(spec, grid, seed, path_index, 0, 1, _PART_IMAG)
-        b = b + 1j * eta  # as assembled, so |b| is bitwise the stored modulus
-    c = _entry_draw(spec, grid, seed, path_index, 1, 1, _PART_REAL) * np.sqrt(2.0)
-    return a, c, np.abs(b)
+    _check_path_bytes(spec, grid)
+    draw = functools.partial(_entry_draw, spec, grid, seed, path_index)
+    return MatrixPath(grid=grid, values=_fill_selfadjoint(spec, grid.shape, draw))
 
 
 def assemble_rect(
     spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int = 0
 ) -> MatrixPath:
-    """Draw the raw rectangular matrix field W with i.i.d. entries."""
+    """Draw the raw rectangular matrix field W with i.i.d. entries.  A path
+    over `_MAX_PATH_BYTES` raises ValueError before anything is drawn."""
     if spec.is_square:
         raise ValueError("assemble_rect needs a rectangular ensemble")
-    d1, d2 = spec.shape
-    out = np.zeros(grid.shape + (d1, d2), dtype=spec.dtype)
-    for i in range(d1):
-        for j in range(d2):
-            xi = _entry_draw(spec, grid, seed, path_index, i, j, _PART_REAL)
-            if spec.beta == 2:
-                eta = _entry_draw(spec, grid, seed, path_index, i, j, _PART_IMAG)
-                out[..., i, j] = xi + 1j * eta
-            else:
-                out[..., i, j] = xi
-    return MatrixPath(grid=grid, values=out)
+    _check_path_bytes(spec, grid)
+    draw = functools.partial(_entry_draw, spec, grid, seed, path_index)
+    return MatrixPath(grid=grid, values=_fill_rect(spec, grid.shape, draw))
 
 
 def affine(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
@@ -221,10 +275,14 @@ def affine(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
     The square result is re-symmetrized through (M + M*)/2 to kill rounding
     asymmetry; the eigensolver requires exactly self-adjoint input.
     """
-    values = path.values
     d1, d2 = spec.dims
-    if values.shape[-2:] != (d1, d2):
-        raise ValueError("path shape %s does not match spec" % (values.shape[-2:],))
+    if path.values.shape[-2:] != (d1, d2):
+        raise ValueError("path shape %s does not match spec" % (path.values.shape[-2:],))
+    return MatrixPath(grid=path.grid, values=_affine_values(path.values, spec))
+
+
+def _affine_values(values: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
+    """`affine` on an array of raw matrices."""
     t = spec.transform
     if spec.is_square:
         if t is not None:
@@ -239,7 +297,7 @@ def affine(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:
             values = values @ spec.transform_right
         if spec.shift is not None:
             values = values + spec.shift
-    return MatrixPath(grid=path.grid, values=np.ascontiguousarray(values))
+    return np.ascontiguousarray(values)
 
 
 def sample_ensemble(
@@ -252,3 +310,30 @@ def sample_ensemble(
         else assemble_rect(spec, grid, seed, path_index)
     )
     return affine(raw, spec)
+
+
+def _plane_entries(draw, beta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (a, c, |b|) of the raw field [[a, b], [conj b, c]] of a
+    2x2 square ensemble, from the entry draws `draw(i, j, part)` of one
+    block.
+
+    Forms each value with the arithmetic of `_fill_selfadjoint`, so the
+    three arrays are bitwise the diagonal and the modulus of the
+    off-diagonal entry of its matrices; no (..., 2, 2) tensor is built.
+    """
+    a = draw(0, 0, _PART_REAL) * np.sqrt(2.0)
+    b = draw(0, 1, _PART_REAL)
+    if beta == 2:
+        b = b + 1j * draw(0, 1, _PART_IMAG)  # as assembled, so |b| is bitwise the stored modulus
+    c = draw(1, 1, _PART_REAL) * np.sqrt(2.0)
+    return a, c, np.abs(b)
+
+
+def _ensemble_rows(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
+    """Yield (first row, matrices) for each block of `rows` rows of
+    `sample_ensemble(spec, grid, seed, path_index)`, whose values they
+    equal bit for bit: the entries fill the matrices as in `assemble_*`,
+    and the affine map acts on each matrix alone."""
+    fill = _fill_selfadjoint if spec.is_square else _fill_rect
+    for start, shape, draw in _row_draws(spec, grid, seed, path_index, rows):
+        yield start, _affine_values(fill(spec, shape, draw), spec)

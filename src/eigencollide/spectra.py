@@ -25,6 +25,7 @@ test rather than a proof here.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -327,32 +328,35 @@ def spectral_path(path, kind: SpectralKind) -> SpectralPath:
     (rectangular kinds) pointwise; numerical failures are annotated with
     the grid coordinates of the offending point.
     """
-    values = path.values
+    with _grid_coordinates(path.grid):
+        return SpectralPath(values=_spectra(path.values, kind))
+
+
+def _spectra(values: np.ndarray, kind: SpectralKind) -> np.ndarray:
+    """Ordered spectra of a batch of matrices, by kind."""
     if kind.singular:
         if values.shape[-2] > values.shape[-1]:
             raise ValueError("singular kind needs d1 <= d2")
-        compute = singvals
-    else:
-        if values.shape[-2] != values.shape[-1]:
-            raise ValueError("eigen kind needs square matrices")
-        compute = eigvals_selfadjoint
-    with _grid_coordinates(path.grid):
-        return SpectralPath(values=compute(values))
+        return singvals(values)
+    if values.shape[-2] != values.shape[-1]:
+        raise ValueError("eigen kind needs square matrices")
+    return eigvals_selfadjoint(values)
 
 
 @contextmanager
-def _grid_coordinates(grid: TimeGrid):
-    """Re-raise a `NumericalError` from a grid-shaped batch with the grid
-    coordinates of (up to four of) its offending points in the message."""
+def _grid_coordinates(grid: TimeGrid, row: int = 0):
+    """Re-raise a `NumericalError` from a grid-shaped batch, or from the
+    block of the grid's rows that starts at row `row` of axis 0, with the
+    grid coordinates of (up to four of) its offending points in the
+    message and their flat grid indices as batch indices."""
     try:
         yield
     except NumericalError as err:
-        where = [
-            tuple(int(c) for c in np.unravel_index(b, grid.shape))
-            for b in err.batch_indices[:4]
-        ]
+        offset = row * math.prod(grid.shape[1:])
+        indices = tuple(b + offset for b in err.batch_indices)
+        where = [tuple(int(c) for c in np.unravel_index(b, grid.shape)) for b in indices[:4]]
         raise NumericalError(
             "%s (grid coordinates %s%s)"
-            % (err, where, ", ..." if len(err.batch_indices) > 4 else ""),
-            batch_indices=err.batch_indices,
+            % (err, where, ", ..." if len(indices) > 4 else ""),
+            batch_indices=indices,
         ) from None

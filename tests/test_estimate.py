@@ -1,6 +1,8 @@
 """Estimator checks on synthetic sets and small Monte Carlo runs."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from eigencollide.estimate import (
     verdict_experiment,
     wilson_interval,
 )
-from eigencollide.gfield import KernelSpec, TimeGrid, sample_fbm_1d
+from eigencollide.gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d
 from eigencollide.harness import ExperimentConfig, simulate
 from eigencollide.matfield import EnsembleSpec, sample_ensemble
 from eigencollide.spectra import NumericalError, pattern_gap_values, spectral_path
@@ -189,6 +191,131 @@ def test_plane_route_thread_count_cannot_matter():
     a = collision_prob(spec, PAT2, RE, grid, ladder, 100, 13, threads=1)
     b = collision_prob(spec, PAT2, RE, grid, ladder, 100, 13, threads=2)
     assert a == b
+
+
+# -- row blocks ----------------------------------------------------------
+
+# grids of more than one block: rows that do not divide axis 0, a 3-d sheet,
+# and a sheet with a dense axis, which is drawn whole and then split
+BLOCK_GRIDS = {
+    "sheet-200x100": (["1/2", "1/2"], TimeGrid.unit([200, 100])),
+    "sheet-97x331": (["1/2", "1/2"], TimeGrid([(1.0, 2.0), (0.5, 1.5)], [97, 331])),
+    "sheet-40x30x20": (["1/2", "1/2", "1/2"], TimeGrid.unit([40, 30, 20])),
+    "sheet-1/2-7/10": (["1/2", "7/10"], TimeGrid.unit([300, 60])),
+}
+
+
+def _kind(shape, beta):
+    if len(shape) == 2:
+        return SpectralKind.REAL_SINGULAR if beta == 1 else SpectralKind.COMPLEX_SINGULAR
+    return SpectralKind.REAL_EIGEN if beta == 1 else SpectralKind.COMPLEX_EIGEN
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["2x2", "2x3"])
+@pytest.mark.parametrize("case", sorted(BLOCK_GRIDS))
+def test_streamed_path_bitwise_equals_whole_grid_route(case, shape, beta):
+    hs, grid = BLOCK_GRIDS[case]
+    assert estimate._block_rows(grid) < grid.shape[0]
+    spec, kind = ensemble(hs, shape=shape, beta=beta), _kind(shape, beta)
+    for path_index in (0, 7):
+        low, high, gaps = estimate._path(spec, PAT2, kind, grid, 21, path_index)
+        values = spectral_path(sample_ensemble(spec, grid, 21, path_index), kind).values
+        want = (values.min(), values.max(), pattern_gap_values(values, PAT2))
+        assert gaps.shape == grid.shape
+        for got, ref in zip((low, high, gaps), want):
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+
+
+def _nan_in_sheet_rows(point):
+    """A `matfield._sheet_rows` whose draw of entry (0, 1) on path 0 is NaN
+    at grid point `point`; every other value is unchanged."""
+
+    def planted(kernel, grid, seed, key, rows):
+        start = 0
+        for block in _sheet_rows(kernel, grid, seed, key, rows):
+            if key == (0, 1, 0) and start <= point[0] < start + len(block):
+                block = block.copy()
+                block[(point[0] - start,) + point[1:]] = np.nan
+            yield block
+            start += len(block)
+
+    return planted
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
+def test_nan_in_a_later_block_names_its_grid_coordinates(monkeypatch, d):
+    grid = TimeGrid.unit([600, 64])  # blocks of 256 rows: the NaN is in the third
+    assert estimate._block_rows(grid) == 256
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((520, 7)))
+    named = r"non-finite entries in 1 matrices \(grid coordinates \[\(520, 7\)\]\)"
+    with pytest.raises(NumericalError, match=named) as err:
+        box_dim(ensemble(["1/2", "1/2"], shape=(d,)), CollisionPattern((2,), d), RE, grid, 0,
+                [0.5, 0.25])
+    assert err.value.batch_indices == (520 * 64 + 7,)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["plane", "general"])
+def test_thread_count_cannot_matter_on_multi_block_grids(shape):
+    grid = TimeGrid.unit([160, 128])  # two blocks of 128 rows
+    assert estimate._block_rows(grid) == 128
+    spec, kind = ensemble(["1/2", "1/2"], shape=shape), _kind(shape, 1)
+    ladder = (0.5, 0.1, 0.02)
+    a = collision_prob(spec, PAT2, kind, grid, ladder, 100, 13, threads=1)
+    b = collision_prob(spec, PAT2, kind, grid, ladder, 100, 13, threads=2)
+    assert a == b
+    # the running minimum over blocks is the whole grid's
+    mins = [estimate._path(spec, PAT2, kind, grid, 13, p)[2].min() for p in range(100)]
+    assert a.hits == tuple(int(sum(m <= e for m in mins)) for e in ladder)
+
+
+def _box_count_reference(marked, grid, delta):
+    """Occupied boxes as distinct flat box ids of the marked points."""
+    flat_id = np.zeros(grid.shape, dtype=np.int64)
+    stride = 1
+    for j in reversed(range(grid.ndim)):
+        a, b = grid.intervals[j]
+        n_boxes = max(1, math.ceil((b - a) / delta - 1e-12))
+        ids = np.minimum(np.floor((grid.axis(j) - a) / delta).astype(np.int64), n_boxes - 1)
+        shape = [1] * grid.ndim
+        shape[j] = -1
+        flat_id = flat_id + ids.reshape(shape) * stride
+        stride *= n_boxes
+    return int(np.unique(flat_id[marked]).size)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        TimeGrid.unit([4096]),
+        TimeGrid([(1.0, 1.7)], [5]),
+        TimeGrid.unit([64, 64]),
+        TimeGrid([(1.0, 2.0), (0.5, 3.3)], [100, 37]),
+        TimeGrid.unit([9, 10, 11]),
+    ],
+    ids=["1d", "1d-short", "2d", "2d-uneven", "3d"],
+)
+def test_box_count_equals_distinct_box_ids(grid):
+    rng = np.random.default_rng(4)
+    masks = [np.zeros(grid.shape, bool), np.ones(grid.shape, bool)]
+    masks += [rng.random(grid.shape) < p for p in (0.003, 0.05, 0.5)]
+    for marked in masks:
+        for delta in (2.0, 0.5, 0.3, 0.1, 0.013, 1e-3, 1e-5):
+            want = _box_count_reference(marked, grid, delta)
+            assert estimate._box_count(marked, grid, delta) == want
+
+
+def test_box_dim_memory_does_not_follow_the_grid():
+    # 1024^2 gap grid: 8 MiB; the whole-grid kernel peaked at 50 MiB
+    grid = TimeGrid.unit([1024, 1024])
+    ladder = [2.0**-k for k in range(1, 9)]
+    tracemalloc.start()
+    try:
+        box_dim(ensemble(["1/2", "1/2"]), PAT2, RE, grid, 2003, ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _route_config(shape, kind="real-eigen", **affine):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from eigencollide import gfield
 from eigencollide.gfield import (
+    _axis_cov,
     _axis_factor,
     _fgn_draw,
     _fgn_sqrt_eigs,
+    _sheet_rows,
     FactorizationError,
     KernelSpec,
     TimeGrid,
@@ -248,6 +251,52 @@ def test_sheet_brownian_axes_match_dense_factor(hs, intervals, shape):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+class _CountingStream:
+    """A stream that records the shape of every `standard_normal` draw."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def standard_normal(self, size):
+        self.shapes.append(size)
+        return self.rng.standard_normal(size)
+
+
+SHEET_ROW_CASES = {
+    "bm-100x37": (("1/2", "1/2"), [(1.0, 2.0), (0.5, 3.0)], [100, 37]),
+    "bm-33x5": (("1/2", "1/2"), [(1.0, 2.0)] * 2, [33, 5]),
+    "bm-8x6x5": (("1/2", "1/2", "1/2"), [(1.0, 2.0)] * 3, [8, 6, 5]),
+    "dense-1/2-7/10": (("1/2", "7/10"), [(1.0, 2.0)] * 2, [30, 20]),
+    "dense-2/5-1/2": (("2/5", "1/2"), [(1.0, 2.0)] * 2, [30, 20]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHEET_ROW_CASES))
+def test_sheet_rows_join_to_sample_sheet_bitwise(monkeypatch, case):
+    hs, intervals, shape = SHEET_ROW_CASES[case]
+    grid = TimeGrid(intervals, shape)
+    want = sample_sheet(spec(*hs), grid, 17, (4, 1, 0)).values
+    streams = []
+
+    def counting(*key):
+        streams.append(_CountingStream(substream(*key)))
+        return streams[-1]
+
+    monkeypatch.setattr("eigencollide.gfield.substream", counting)
+    for rows in (1, 3, 7, shape[0] - 1, shape[0], shape[0] + 4):
+        blocks = list(_sheet_rows(spec(*hs), grid, 17, (4, 1, 0), rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= rows
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # all-1/2 sheets draw each block's rows alone; a dense axis draws whole
+        draws = streams[-1].shapes
+        if all(h == "1/2" for h in hs):
+            assert draws == [b.shape for b in blocks]
+        else:
+            assert draws == [tuple(shape)]
+
+
 def test_fgn_real_fft_matches_complex_ifft():
     for h, n_incr in ((0.5, 4096), (0.3, 257), (0.8, 2)):
         half = _fgn_sqrt_eigs(h, 1.0 / n_incr, n_incr)
@@ -332,3 +381,51 @@ def test_assumptions_degenerate_grid_vacuous():
     assert rep.passed
     assert rep.c3 is None and rep.c4 is None
     assert rep.n_pairs == 0
+
+
+def _whole_grid_scan(spec_, grid):
+    """The assumption scan over whole n x n arrays, with the Gram matrix
+    built by Kronecker products: the reference of the row-blocked scan."""
+    n = grid.n_points
+    gram = np.ones((n, n))
+    hs = spec_.hurst.as_floats()
+    for j in range(grid.ndim):
+        ax = grid.axis(j)
+        cov_j = _axis_cov(hs[j], ax[:, None], ax[None, :])
+        before, after = int(np.prod(grid.shape[:j])), int(np.prod(grid.shape[j + 1 :]))
+        gram *= np.kron(np.ones((before, before)), np.kron(cov_j, np.ones((after, after))))
+    var = np.diag(gram)
+    pts = grid.points()
+    hs = np.array(hs)
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    sep_h = (diff**hs).sum(axis=-1)
+    sep_2h = (diff ** (2 * hs)).sum(axis=-1)
+    off = ~np.eye(n, dtype=bool)
+    incr_sq = np.clip(var[:, None] + var[None, :] - 2 * gram, 0.0, None)
+    c3 = float(np.sqrt(incr_sq[off] / sep_h[off] ** 2).min())
+    s_u, s_v = np.sqrt(var)[:, None], np.sqrt(var)[None, :]
+    condvar = (incr_sq - (s_u - s_v) ** 2) * ((s_u + s_v) ** 2 - incr_sq) / (4 * s_v**2)
+    c4 = float((np.clip(condvar, 0.0, None)[off] / sep_2h[off]).min())
+    return gram, float(np.sqrt(var.min())), c3, c4, int(off.sum())
+
+
+@pytest.mark.parametrize(
+    "hs, intervals, shape",
+    [
+        (("1/2",), [(1.0, 2.0)], [64]),
+        (("3/10",), [(0.5, 2.0)], [300]),
+        (("1/2", "1/2"), [(1.0, 2.0)] * 2, [12, 16]),
+        (("1/3", "1/2"), [(1.0, 2.0), (0.5, 3.0)], [9, 14]),
+        (("1/4", "1/2", "3/4"), [(1.0, 2.0)] * 3, [5, 6, 7]),
+    ],
+    ids=["bm-1d", "fbm-1d", "sheet", "anisotropic", "3d"],
+)
+@pytest.mark.parametrize("pairs", [50, 1 << 18], ids=["many-blocks", "default-blocks"])
+def test_assumption_scan_equals_whole_grid_scan(monkeypatch, hs, intervals, shape, pairs):
+    monkeypatch.setattr(gfield, "_SCAN_PAIRS", pairs)
+    grid = TimeGrid(intervals, shape)
+    gram, c1, c3, c4, n_pairs = _whole_grid_scan(spec(*hs), grid)
+    assert np.array_equal(kernel_gram(spec(*hs), grid).view(np.int64), gram.view(np.int64))
+    rep = verify_assumptions(spec(*hs), grid)
+    assert (rep.c1, rep.c3, rep.c4, rep.n_pairs) == (c1, c3, c4, n_pairs)
+    assert rep.n_points == grid.n_points and rep.passed

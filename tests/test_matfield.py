@@ -1,5 +1,7 @@
 """Matrix-field assembly statistics and affine-map properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,20 @@ def test_real_case_stays_real():
     spec = EnsembleSpec(beta=1, shape=(2,), kernel=KERN)
     p = sample_ensemble(spec, GRID, seed=7)
     assert p.values.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "assemble, shape", [(assemble_selfadjoint, (2,)), (assemble_rect, (2, 2))],
+    ids=["selfadjoint", "rect"],
+)
+def test_assemble_refuses_oversize_path_before_allocating(assemble, shape):
+    spec = EnsembleSpec(beta=2, shape=shape, kernel=KernelSpec(HurstVector(["1/2", "1/2"])))
+    grid = TimeGrid.unit([8192, 8192])  # 2x2 complex128 matrices: 4 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="a matrix path takes 4294967296 bytes, over the budget"):
+            assemble(spec, grid, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
