@@ -41,11 +41,9 @@ from .matfield import (
     sample_ensemble,
 )
 from .spectra import (
-    GapStatistic,
     NumericalError,
     SpectralPath,
     eigvals_selfadjoint,
-    pattern_gap,
     pattern_gap_values,
     singvals,
     spectral_path,
@@ -86,11 +84,9 @@ __all__ = [
     "assemble_selfadjoint",
     "sample_ensemble",
     # spectra
-    "GapStatistic",
     "NumericalError",
     "SpectralPath",
     "eigvals_selfadjoint",
-    "pattern_gap",
     "pattern_gap_values",
     "singvals",
     "spectral_path",

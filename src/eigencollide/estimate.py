@@ -25,20 +25,21 @@ of the work.
 and yields each block's spectrum extremes and pattern gaps.
 `collision_prob` keeps only a running minimum, so it holds no grid-sized
 array per path; `_path` joins the blocks into the gap grid that `box_dim`
-and `harness.simulate` read.  Grids of up to `_BLOCK_POINTS` points are
-one block, drawn and solved as a whole.  The kernel has two routes,
-chosen from the ensemble alone.  A plain 2x2 self-adjoint ensemble (shape
-(2,), no shift, no transform) takes the plane route: the entry draws go
-straight into the closed-form spectrum, and the gap is hi - lo, with no
-matrix path, spectra array or gap DP.  Every other ensemble (d >= 3, a
-shift or transform, 2xn singular values) takes the general route:
-matrices, spectra, `pattern_gap_values`.  Both routes, blocked or whole,
-are bitwise the general route over the whole grid: each block draws the
-next rows of the same entry streams (see `matfield`), and every later
-step acts point by point.  A sheet with a dense (H != 1/2) axis is drawn
-whole and then split into blocks, since a dense factor applied to a block
-would round differently.  Everything is allocated per call, with no
-shared buffer, so worker threads cannot interfere.
+and `harness.simulate` read.  The kernel has two routes, chosen from the
+ensemble alone.  A plain 2x2 self-adjoint ensemble (shape (2,), no shift,
+no transform) takes the plane route: the entry draws go straight into the
+closed-form spectrum, and the gap is hi - lo, with no matrix path,
+spectra array or gap DP.  Every other ensemble (d >= 3, a shift or
+transform, 2xn singular values) takes the general route: each block's
+matrices (`matfield._ensemble_rows`), their spectra, then
+`pattern_gap_values`.  Both routes are bitwise the whole-grid reference
+`pattern_gap_values(spectral_path(sample_ensemble(...)).values)`: each
+block draws the next rows of the same entry streams (see `matfield`),
+and every later step acts point by point.  A sheet with a dense
+(H != 1/2) axis is drawn whole and then split into blocks, since a dense
+factor applied to a block would round differently.  Everything is
+allocated per call, with no shared buffer, so worker threads cannot
+interfere.
 
 Paths are independent across workers and the reduction is ordered by path
 index, so results are identical for any thread count.
@@ -53,21 +54,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfield import TimeGrid
-from .matfield import (
-    EnsembleSpec,
-    _ensemble_rows,
-    _plane_entries,
-    _row_draws,
-    sample_ensemble,
-)
+from .matfield import EnsembleSpec, _ensemble_rows, _plane_entries, _row_draws
 from .spectra import (
     NumericalError,
     _grid_coordinates,
     _plane_spectrum,
     _spectra,
     pattern_gap_values,
-    spectral_path,
 )
+# sample_ensemble, spectral_path: unused, bound for the benchmark's tracer
+from .matfield import sample_ensemble  # noqa: F401
+from .spectra import spectral_path  # noqa: F401
 from .theory import CollisionPattern, SpectralKind, TheoryVerdict, Verdict, dichotomy
 
 __all__ = [
@@ -86,8 +83,9 @@ _Z95 = 1.959963984540054
 # (boundary and discretization bias)
 _DROP_COARSE = 2
 _DROP_FINE = 1
-# points per row block of the path kernel: a block's working set is a few
-# hundred KB, whatever the grid
+# points per row block of the path kernel.  A plane-route block's working
+# set is a few hundred KB; a general-route block holds its matrices too
+# (2^14 points x 9 x 8 B, about 1.2 MB, for 3x3 real) before spectra
 _BLOCK_POINTS = 1 << 14
 
 
@@ -210,20 +208,10 @@ def _path_rows(spec, pattern, kind, grid, seed, path_index):
             hi -= lo
             yield start, low, high, hi
         return
-    if rows >= grid.shape[0]:
-        blocks = [(0, spectral_path(sample_ensemble(spec, grid, seed, path_index), kind).values)]
-    else:
-        blocks = _spectra_rows(spec, kind, grid, seed, path_index, rows)
-    for start, values in blocks:
-        yield start, values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
-
-
-def _spectra_rows(spec, kind, grid, seed, path_index, rows):
-    """Yield (first row, spectra) for each block of `rows` rows."""
     for start, matrices in _ensemble_rows(spec, grid, seed, path_index, rows):
         with _grid_coordinates(grid, start):
             values = _spectra(matrices, kind)
-        yield start, values
+        yield start, values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
 
 
 def _path(spec, pattern, kind, grid, seed, path_index):

@@ -9,19 +9,20 @@ A + T X T* (square) and B + T W Ttilde (rectangular) sit on top.
 
 Entry streams are keyed by (path index, entry index, real/imag part), so
 Monte Carlo paths are reproducible and independent of scheduling; one
-helper, `_entry_key`, forms that key for every draw.  One fill per class
-(`_fill_selfadjoint`, `_fill_rect`) turns entry draws into matrices,
-whether the draws cover the whole grid (`assemble_*`) or a block of rows.
+helper, `_entry_key`, forms that key for every draw.  `_row_draws` is the
+one entry-draw path: it hands out the draws of a path in blocks of rows
+along axis 0, and `assemble_*` fill its single block over the whole grid.
+One fill per class (`_fill_selfadjoint`, `_fill_rect`) turns a block's
+draws into matrices.
 
-The Monte Carlo path kernel `estimate._path_rows` walks a path in blocks
-of rows along axis 0.  `_row_draws` hands it each block's entry draws,
-and `_ensemble_rows` each block of `sample_ensemble`'s matrices; for a
-plain 2x2 self-adjoint ensemble `_plane_entries` turns a block's draws
-into its diagonal (a, c) and modulus |b| of the off-diagonal entry,
-bitwise the values `assemble_selfadjoint` stores, and no matrix is built.
-A block draws only its own rows when every axis of the sheet has
-H = 1/2 (see `gfield._sheet_rows`); a sheet with a dense axis is drawn
-whole per entry and sliced, and a 1-d grid is always one block.
+The Monte Carlo path kernel `estimate._path_rows` takes each block of
+`sample_ensemble`'s matrices from `_ensemble_rows`; for a plain 2x2
+self-adjoint ensemble `_plane_entries` turns a block's draws into its
+diagonal (a, c) and modulus |b| of the off-diagonal entry, bitwise the
+values `assemble_selfadjoint` stores, and no matrix is built.  A block
+draws only its own rows when every axis of the sheet has H = 1/2 (see
+`gfield._sheet_rows`); a sheet with a dense axis is drawn whole per entry
+and sliced, and a 1-d grid is always one block.
 
 A matrix path over `_MAX_PATH_BYTES` (1 GiB) is refused by `assemble_*`
 before anything is drawn, and by config validation.
@@ -32,12 +33,12 @@ case stays float64 and never allocates an imaginary plane.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d, sample_sheet
+# sample_sheet: unused, bound for the benchmark's tracer
+from .gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d, sample_sheet  # noqa: F401
 
 __all__ = [
     "EnsembleSpec",
@@ -140,28 +141,10 @@ class MatrixPath:
         self.values.flags.writeable = False
 
 
-def _scalar_draw(
-    kernel: KernelSpec, grid: TimeGrid, seed: int, key: tuple[int, ...]
-) -> np.ndarray:
-    # 1-d grids go through the circulant fBm sampler, which is much cheaper
-    # than the dense axis factor on long axes; same law either way.
-    if grid.ndim == 1:
-        return sample_fbm_1d(float(kernel.hurst[0]), grid, seed, key).values
-    return sample_sheet(kernel, grid, seed, key).values
-
-
 def _entry_key(spec: EnsembleSpec, path_index: int, i: int, j: int, part: int) -> tuple:
     """Stream key of matrix entry (i, j): (path index, i * d2 + j,
     real/imag part), the one place entry streams are keyed."""
     return (path_index, i * spec.dims[1] + j, part)
-
-
-def _entry_draw(
-    spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, i: int, j: int,
-    part: int,
-) -> np.ndarray:
-    """Scalar field at matrix entry (i, j) over the whole grid."""
-    return _scalar_draw(spec.kernel, grid, seed, _entry_key(spec, path_index, i, j, part))
 
 
 def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
@@ -170,22 +153,27 @@ def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, r
 
     `draw(i, j, part)` returns the block of the scalar field at entry
     (i, j) and must be called once per block for each entry the caller
-    uses.  A grid that `rows` covers, and any 1-d grid, is one block drawn
-    by `_entry_draw`; otherwise each entry is one `_sheet_rows` stream
-    under the key `_entry_draw` uses, so joined blocks are its values bit
-    for bit.
+    uses.  Each entry is one stream.  A 1-d grid is one block, whatever
+    `rows` is, drawn by the circulant fBm sampler, which is much cheaper
+    than the dense axis factor on long axes (same law).  On a sheet the
+    stream is `_sheet_rows`, so joined blocks are the same values whatever
+    `rows` is; it is dropped after its last block, since a suspended
+    generator keeps its whole draw alive.
     """
     n0 = grid.shape[0]
-    if grid.ndim == 1 or rows >= n0:
-        yield 0, grid.shape, functools.partial(_entry_draw, spec, grid, seed, path_index)
-        return
+    if grid.ndim == 1:
+        rows = n0
     streams = {}
 
     def draw(i, j, part):
         key = _entry_key(spec, path_index, i, j, part)
-        if key not in streams:
-            streams[key] = _sheet_rows(spec.kernel, grid, seed, key, rows)
-        return next(streams[key])
+        if grid.ndim == 1:
+            return sample_fbm_1d(float(spec.kernel.hurst[0]), grid, seed, key).values
+        stream = streams.pop(key, None) or _sheet_rows(spec.kernel, grid, seed, key, rows)
+        block = next(stream)
+        if start + rows < n0:
+            streams[key] = stream
+        return block
 
     for start in range(0, n0, rows):
         yield start, (min(rows, n0 - start),) + grid.shape[1:], draw
@@ -253,8 +241,8 @@ def assemble_selfadjoint(
     if not spec.is_square:
         raise ValueError("assemble_selfadjoint needs a square ensemble")
     _check_path_bytes(spec, grid)
-    draw = functools.partial(_entry_draw, spec, grid, seed, path_index)
-    return MatrixPath(grid=grid, values=_fill_selfadjoint(spec, grid.shape, draw))
+    _, shape, draw = next(_row_draws(spec, grid, seed, path_index, grid.shape[0]))
+    return MatrixPath(grid=grid, values=_fill_selfadjoint(spec, shape, draw))
 
 
 def assemble_rect(
@@ -265,8 +253,8 @@ def assemble_rect(
     if spec.is_square:
         raise ValueError("assemble_rect needs a rectangular ensemble")
     _check_path_bytes(spec, grid)
-    draw = functools.partial(_entry_draw, spec, grid, seed, path_index)
-    return MatrixPath(grid=grid, values=_fill_rect(spec, grid.shape, draw))
+    _, shape, draw = next(_row_draws(spec, grid, seed, path_index, grid.shape[0]))
+    return MatrixPath(grid=grid, values=_fill_rect(spec, shape, draw))
 
 
 def affine(path: MatrixPath, spec: EnsembleSpec) -> MatrixPath:

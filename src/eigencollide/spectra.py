@@ -13,14 +13,15 @@ d1 >= 3 go through the Gram matrix and lose values below about 1e-8 * |M|.
 The supported range is d <= 64.  Non-finite matrices and LAPACK failures
 raise `NumericalError` naming the offending batch indices.
 
-`pattern_gap` measures how far an ordered spectrum is from a prescribed
+The pattern gap measures how far an ordered spectrum is from a prescribed
 multiple collision: the minimum over disjoint index blocks of the given
 sizes of the largest within-block range.  Its zero set is exactly the
 collision event.  On sorted data the optimal blocks are contiguous, which
-one dynamic program exploits: `pattern_gap_values` reads the gap of a
-whole batch off its table, and `pattern_gap` backtracks the same table for
-the witness blocks.  The brute-force equivalence is defended by a property
-test rather than a proof here.
+one dynamic program exploits: `pattern_gap_values`, the one entry, reads
+the gap of one spectrum or of a whole batch off its table.  The blocks
+attaining it are not reported; they could be backtracked from the same
+table.  The brute-force equivalence is defended by a property test rather
+than a proof here.
 """
 
 from __future__ import annotations
@@ -38,10 +39,8 @@ from .theory import CollisionPattern, SpectralKind
 __all__ = [
     "NumericalError",
     "SpectralPath",
-    "GapStatistic",
     "eigvals_selfadjoint",
     "singvals",
-    "pattern_gap",
     "pattern_gap_values",
     "spectral_path",
 ]
@@ -65,14 +64,6 @@ class SpectralPath:
 
     def __post_init__(self):
         self.values.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class GapStatistic:
-    """Min-max within-block spectral range and the blocks attaining it."""
-
-    value: float
-    witness: tuple[tuple[int, ...], ...]
 
 
 def _mid_radius(a, c, b_abs):
@@ -228,7 +219,7 @@ def _size_counts(pattern: CollisionPattern):
 
 
 def _gap_table(spectra, pattern: CollisionPattern):
-    """(sizes, counts, dp) of the pattern-gap DP over (..., n) sorted spectra.
+    """(counts, dp) of the pattern-gap DP over (..., n) sorted spectra.
 
     dp[state][i] is the min over placements of the blocks left in `state`
     (a count per block size) at indices >= i of the largest within-block
@@ -267,58 +258,15 @@ def _gap_table(spectra, pattern: CollisionPattern):
                 best = cand if best is None else np.minimum(best, cand, out=cand)
             rows[i] = best
         dp[st] = rows
-    return sizes, counts, dp
+    return counts, dp
 
 
 def pattern_gap_values(spectra, pattern: CollisionPattern) -> np.ndarray:
-    """Batched pattern-gap values (no witness) for (..., n) sorted spectra."""
+    """Pattern-gap values of (..., n) sorted spectra, shape (...): a 0-d
+    array for a single spectrum.  Unsorted input raises ValueError."""
     arr = np.asarray(spectra, dtype=float)
-    _, counts, dp = _gap_table(arr, pattern)
+    counts, dp = _gap_table(arr, pattern)
     return dp[counts][0].reshape(arr.shape[:-1])
-
-
-def pattern_gap(spectrum, pattern: CollisionPattern) -> GapStatistic:
-    """Pattern-gap of one sorted spectrum, with the witness blocks.
-
-    The witness backtracks the table of `pattern_gap_values`.  Ties are
-    broken toward the lexicographically smallest starting indices and then
-    toward the smallest block size, so reports are deterministic.
-    """
-    lam = np.asarray(spectrum, dtype=float)
-    if lam.ndim != 1:
-        raise ValueError("expected a single spectrum")
-    sizes, counts, dp = _gap_table(lam[None, :], pattern)
-
-    def best(st, i):  # table entries are 1-row arrays or shared scalars
-        return np.ravel(dp[st][i])[0]
-
-    value = best(counts, 0)
-    # Place a block at the earliest index where doing so still attains the
-    # optimum.
-    blocks: list[tuple[int, int]] = []  # (start, size)
-    i, st = 0, counts
-    while any(st):
-        for which, (s, k) in enumerate(zip(sizes, st)):
-            if k == 0 or i + s > len(lam):
-                continue
-            rest = st[:which] + (k - 1,) + st[which + 1 :]
-            if max(lam[i + s - 1] - lam[i], best(rest, i + s)) <= value:
-                blocks.append((i, s))
-                i, st = i + s, rest
-                break
-        else:
-            i += 1
-
-    # Hand blocks back in pattern order, matching sizes first-come.
-    remaining = list(blocks)
-    witness = []
-    for l in pattern.multiplicities:
-        for k, (start, size) in enumerate(remaining):
-            if size == l:
-                witness.append(tuple(range(start, start + size)))
-                del remaining[k]
-                break
-    return GapStatistic(value=float(value), witness=tuple(witness))
 
 
 def spectral_path(path, kind: SpectralKind) -> SpectralPath:

@@ -1,7 +1,8 @@
 """Every exported name resolves, every name the demos and the README import
 from the package exists, every attribute the benchmark tracer wraps exists,
-and one smoke-size pass of every benchmark workload runs, so that deleting
-or re-signing a name the benchmark uses fails here."""
+every module-level import is read, exported or traced, and one smoke-size
+pass of every benchmark workload runs, so that deleting or re-signing a name
+the benchmark uses fails here."""
 
 import ast
 import importlib
@@ -69,6 +70,39 @@ def test_tracer_boundaries_exist():
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert not missing
+
+
+def _module_imports(tree):
+    """Names bound by the module-level imports of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def test_module_imports_are_read_exported_or_traced():
+    # an import nothing reads is dead code, unless the module exports it or
+    # the benchmark tracer wraps it on that module
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {(mod, attr) for mod, attr, _ in tracer.BOUNDARIES}
+    unread = []
+    for path in sorted((ROOT / "src" / "eigencollide").glob("*.py")):
+        module = "eigencollide" + ("" if path.stem == "__init__" else "." + path.stem)
+        tree = ast.parse(path.read_text())
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        unread += [
+            "%s.%s" % (module, name)
+            for name in _module_imports(tree)
+            if name not in read | exported and (module, name) not in traced
+        ]
+    assert not unread
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

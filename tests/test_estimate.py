@@ -18,7 +18,7 @@ from eigencollide.estimate import (
 )
 from eigencollide.gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d
 from eigencollide.harness import ExperimentConfig, simulate
-from eigencollide.matfield import EnsembleSpec, sample_ensemble
+from eigencollide.matfield import EnsembleSpec, _ensemble_rows, assemble_rect, sample_ensemble
 from eigencollide.spectra import NumericalError, pattern_gap_values, spectral_path
 from eigencollide.theory import CollisionPattern, HurstVector, SpectralKind, Verdict
 
@@ -92,15 +92,8 @@ def test_collision_prob_counts_nan_path_as_failed(monkeypatch):
 
 
 def test_collision_prob_counts_nan_path_as_failed_3x3(monkeypatch):
-    def planted(spec, grid, seed, path_index=0):
-        path = sample_ensemble(spec, grid, seed, path_index)
-        if path_index != 7:
-            return path
-        values = path.values.copy()
-        values[3, 1, 0] = np.nan
-        return dataclasses.replace(path, values=values)
-
-    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", planted)
+    # the general route draws entries through the same sampler
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(7))
     grid = TimeGrid.unit([8])
     spec, pattern = ensemble(["1/2"], shape=(3,)), CollisionPattern((2,), 3)
     est = collision_prob(spec, pattern, RE, grid, (1e9, 0.5), 100, 3)
@@ -318,6 +311,30 @@ def test_box_dim_memory_does_not_follow_the_grid():
     assert peak < 16 * 2**20
 
 
+def _traced_peak(f):
+    f()  # warm the per-grid caches
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_entry_streams_are_dropped_after_their_last_block():
+    # Each entry stream of the one draw path is released once drawn, so a
+    # 2x3 path on a 128^2 sheet holds its matrices and about two entry
+    # draws; kept streams would hold all six draws.
+    spec = ensemble(["1/2", "1/2"], shape=(2, 3))
+    grid = TimeGrid.unit([128, 128])
+    draw = grid.n_points * 8  # one entry's field
+    peak = _traced_peak(lambda: assemble_rect(spec, grid, 3, 1))
+    assert peak < 6 * draw + 3 * draw  # output + 3 draws
+    kind = SpectralKind.REAL_SINGULAR
+    peak = _traced_peak(lambda: estimate._path(spec, PAT2, kind, grid, 3, 1))
+    assert peak < 3 * 2**20
+
+
 def _route_config(shape, kind="real-eigen", **affine):
     return ExperimentConfig(
         kind=kind, shape=shape, pattern=(2,), hurst=("1/2",), resolution=(8,),
@@ -325,7 +342,7 @@ def _route_config(shape, kind="real-eigen", **affine):
     )
 
 
-# config -> matrix paths one path draws (the general route's sample_ensemble)
+# config -> blocks of matrices one path draws (the general route's _ensemble_rows)
 ROUTES = {
     "2x2": (_route_config((2,)), 0),
     "3x3": (_route_config((3,)), 1),
@@ -344,9 +361,9 @@ def test_only_plain_2x2_takes_the_plane_route(monkeypatch, case):
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return sample_ensemble(*args, **kwargs)
+        return _ensemble_rows(*args, **kwargs)
 
-    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", spy)
+    monkeypatch.setattr("eigencollide.estimate._ensemble_rows", spy)
     box_dim(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind, cfg.time_grid(), 0,
             [0.5, 0.25])
     assert len(calls) == general_calls

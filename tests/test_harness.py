@@ -215,27 +215,23 @@ def _assert_path0_failure(text, tmp_path):
     assert "Traceback" not in record and "NumericalError" not in record
 
 
+def _planted_fbm_1d(H, grid, seed, key=()):
+    # the draw of entry (0, 1) on path 0, NaN at grid point 5
+    sample = sample_fbm_1d(H, grid, seed, key)
+    if key[:2] != (0, 1):
+        return sample
+    return dataclasses.replace(sample, values=_nan_at_point_5(sample.values))
+
+
 def test_run_boxdim_path0_numerical_failure_fails_estimate(tmp_path, monkeypatch):
     # plain 2x2 paths take the plane route, which draws entries but no
     # matrix path, so the NaN is planted in the draw of entry (0, 1)
-    def planted(H, grid, seed, key=()):
-        sample = sample_fbm_1d(H, grid, seed, key)
-        if key[:2] != (0, 1):
-            return sample
-        return dataclasses.replace(sample, values=_nan_at_point_5(sample.values))
-
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", planted)
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
     _assert_path0_failure(BOXED, tmp_path)
 
 
 def test_run_boxdim_path0_numerical_failure_fails_estimate_3x3(tmp_path, monkeypatch):
-    def planted(spec, grid, seed, path_index=0):
-        path = sample_ensemble(spec, grid, seed, path_index)
-        if path_index != 0:
-            return path
-        return dataclasses.replace(path, values=_nan_at_point_5(path.values))
-
-    monkeypatch.setattr("eigencollide.estimate.sample_ensemble", planted)
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
     _assert_path0_failure(BOXED.replace("shape: [2]", "shape: [3]"), tmp_path)
 
 

@@ -1,6 +1,6 @@
 """Eigensolver and pattern-gap checks against independent oracles."""
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from eigencollide.spectra import (
     NumericalError,
     _mid_radius,
     eigvals_selfadjoint,
-    pattern_gap,
     pattern_gap_values,
     singvals,
     spectral_path,
@@ -105,7 +104,7 @@ def test_eigvals_2x2_exact_ties(b):
     m = np.array([[3.7, b], [np.conj(b), 3.7]])
     w = eigvals_selfadjoint(m)
     assert w[0] == w[1] == 3.7
-    assert pattern_gap(w, CollisionPattern((2,), 2)).value == 0.0
+    assert pattern_gap_values(w, CollisionPattern((2,), 2)) == 0.0
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -273,14 +272,9 @@ def all_patterns(n):
 
 def test_pattern_gap_examples():
     lam = np.array([0.0, 0.1, 0.15, 0.9])
-    g = pattern_gap(lam, CollisionPattern((2,), 4))
-    assert g.value == pytest.approx(0.05)
-    assert g.witness == ((1, 2),)
-    g = pattern_gap(lam, CollisionPattern((2, 2), 4))
-    assert g.value == pytest.approx(0.75)
-    assert g.witness == ((0, 1), (2, 3))
-    g = pattern_gap(np.array([3.0, 3.0, 3.0]), CollisionPattern((3,), 3))
-    assert g.value == 0.0
+    assert pattern_gap_values(lam, CollisionPattern((2,), 4)) == pytest.approx(0.05)
+    assert pattern_gap_values(lam, CollisionPattern((2, 2), 4)) == pytest.approx(0.75)
+    assert pattern_gap_values(np.array([3.0, 3.0, 3.0]), CollisionPattern((3,), 3)) == 0.0
 
 
 def test_pattern_gap_matches_brute_force():
@@ -295,9 +289,32 @@ def test_pattern_gap_matches_brute_force():
         for mult in all_patterns(n):
             p = CollisionPattern(mult, n)
             want = brute_force_gap(lam, mult)
-            assert pattern_gap(lam, p).value == pytest.approx(want, abs=1e-12)
+            assert pattern_gap_values(lam, p) == pytest.approx(want, abs=1e-12)
             got = pattern_gap_values(lam[None, :], p)[0]
             assert got == pytest.approx(want, abs=1e-12)
+
+
+# Spectra full of ties, for every n <= 6.
+TIE_SPECTRA = [
+    (1.0, 1.0),
+    (0.25, 0.5),
+    (0.0, 0.75),
+    (1.0, 1.0, 1.0),
+    (0.25, 0.5, 0.75),
+    (0.0, 0.5, 0.75),
+    (1.0, 1.0, 1.0, 1.0),
+    (0.0, 0.25, 0.25, 0.75),
+    (0.0, 0.0, 0.25, 0.75),
+    (1.0, 1.0, 1.0, 1.0, 1.0),
+    (0.0, 0.25, 0.25, 0.25, 0.75),
+    (0.0, 0.0, 0.25, 0.5, 0.75),
+    (0.0, 0.5, 0.5, 0.5, 1.0),
+    (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    (0.0, 0.0, 0.5, 0.5, 0.75, 0.75),
+    (0.0, 0.0, 0.25, 0.25, 0.75, 0.75),
+    (0.0, 0.25, 0.25, 0.5, 0.5, 0.75),
+    (0.0, 0.0, 0.0, 0.5, 0.5, 0.5),
+]
 
 
 def test_pattern_gap_values_equal_to_witness_dp():
@@ -307,83 +324,16 @@ def test_pattern_gap_values_equal_to_witness_dp():
     for n in range(2, 7):
         spectra = np.sort(rng.integers(0, 5, size=(60, n)) * 0.25 + rng.random((60, 1)), axis=1)
         spectra[:30] = np.sort(rng.standard_normal((30, n)), axis=1)
+        ties = np.array([lam for lam in TIE_SPECTRA if len(lam) == n])
         for mult in all_patterns(n):
             p = CollisionPattern(mult, n)
             got = pattern_gap_values(spectra, p)
             want = np.array([brute_force_gap(lam, mult) for lam in spectra])
             assert np.all(got == want), (n, mult)
-            assert all(pattern_gap(lam, p).value == w for lam, w in zip(spectra, want))
-
-
-# Witness start indices, in pattern order, recorded from the memoised DP
-# that `pattern_gap` used before it backtracked the table of
-# `pattern_gap_values`, on spectra full of ties, for every pattern with
-# n <= 6 in every order.
-WITNESS_STARTS = {
-    (1.0, 1.0): {(2,): (0,)},
-    (0.25, 0.5): {(2,): (0,)},
-    (0.0, 0.75): {(2,): (0,)},
-    (1.0, 1.0, 1.0): {(2,): (0,), (3,): (0,)},
-    (0.25, 0.5, 0.75): {(2,): (0,), (3,): (0,)},
-    (0.0, 0.5, 0.75): {(2,): (1,), (3,): (0,)},
-    (1.0, 1.0, 1.0, 1.0): {(2,): (0,), (2, 2): (0, 2), (3,): (0,), (4,): (0,)},
-    (0.0, 0.25, 0.25, 0.75): {(2,): (1,), (2, 2): (0, 2), (3,): (0,), (4,): (0,)},
-    (0.0, 0.0, 0.25, 0.75): {(2,): (0,), (2, 2): (0, 2), (3,): (0,), (4,): (0,)},
-    (1.0, 1.0, 1.0, 1.0, 1.0): {
-        (2,): (0,), (2, 2): (0, 2), (2, 3): (0, 2), (3, 2): (2, 0),
-        (3,): (0,), (4,): (0,), (5,): (0,),
-    },
-    (0.0, 0.25, 0.25, 0.25, 0.75): {
-        (2,): (1,), (2, 2): (0, 2), (2, 3): (0, 2), (3, 2): (2, 0),
-        (3,): (1,), (4,): (0,), (5,): (0,),
-    },
-    (0.0, 0.0, 0.25, 0.5, 0.75): {
-        (2,): (0,), (2, 2): (0, 2), (2, 3): (3, 0), (3, 2): (0, 3),
-        (3,): (0,), (4,): (0,), (5,): (0,),
-    },
-    (0.0, 0.5, 0.5, 0.5, 1.0): {
-        (2,): (1,), (2, 2): (0, 2), (2, 3): (0, 2), (3, 2): (2, 0),
-        (3,): (1,), (4,): (0,), (5,): (0,),
-    },
-    (1.0, 1.0, 1.0, 1.0, 1.0, 1.0): {
-        (2,): (0,), (2, 2): (0, 2), (2, 2, 2): (0, 2, 4), (2, 3): (0, 2),
-        (3, 2): (2, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (0,),
-        (3, 3): (0, 3), (4,): (0,), (5,): (0,), (6,): (0,),
-    },
-    (0.0, 0.0, 0.5, 0.5, 0.75, 0.75): {
-        (2,): (0,), (2, 2): (0, 2), (2, 2, 2): (0, 2, 4), (2, 3): (0, 2),
-        (3, 2): (2, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (2,),
-        (3, 3): (0, 3), (4,): (2,), (5,): (0,), (6,): (0,),
-    },
-    (0.0, 0.0, 0.25, 0.25, 0.75, 0.75): {
-        (2,): (0,), (2, 2): (0, 2), (2, 2, 2): (0, 2, 4), (2, 3): (4, 0),
-        (3, 2): (0, 4), (2, 4): (4, 0), (4, 2): (0, 4), (3,): (0,),
-        (3, 3): (0, 3), (4,): (0,), (5,): (0,), (6,): (0,),
-    },
-    (0.0, 0.25, 0.25, 0.5, 0.5, 0.75): {
-        (2,): (1,), (2, 2): (1, 3), (2, 2, 2): (0, 2, 4), (2, 3): (0, 2),
-        (3, 2): (2, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (0,),
-        (3, 3): (0, 3), (4,): (1,), (5,): (0,), (6,): (0,),
-    },
-    (0.0, 0.0, 0.0, 0.5, 0.5, 0.5): {
-        (2,): (0,), (2, 2): (0, 3), (2, 2, 2): (0, 2, 4), (2, 3): (0, 3),
-        (3, 2): (3, 0), (2, 4): (0, 2), (4, 2): (2, 0), (3,): (0,),
-        (3, 3): (0, 3), (4,): (0,), (5,): (0,), (6,): (0,),
-    },
-}
-
-
-@pytest.mark.parametrize("lam", list(WITNESS_STARTS))
-def test_pattern_gap_witness_pinned_on_ties(lam):
-    starts = WITNESS_STARTS[lam]
-    n = len(lam)
-    assert set(starts) == {
-        q for mult in all_patterns(n) for q in permutations(mult)
-    }
-    for mult, first in starts.items():
-        g = pattern_gap(np.array(lam), CollisionPattern(mult, n))
-        assert g.witness == tuple(tuple(range(a, a + l)) for a, l in zip(first, mult))
-        assert g.value == brute_force_gap(np.array(lam), mult)
+            assert all(pattern_gap_values(lam, p) == w for lam, w in zip(spectra, want))
+            want = np.array([brute_force_gap(lam, mult) for lam in ties])
+            assert np.all(pattern_gap_values(ties, p) == want), (n, mult)
+            assert all(pattern_gap_values(lam, p) == w for lam, w in zip(ties, want))
 
 
 def test_pattern_gap_values_shapes():
@@ -415,35 +365,19 @@ def test_mid_radius_against_hypot():
     assert np.shape(r0) == () and r0 == 1.0 and mid0 == 2.0
 
 
-def test_pattern_gap_witness_blocks_are_disjoint_and_sized():
-    rng = np.random.default_rng(48)
-    for _ in range(50):
-        n = int(rng.integers(4, 9))
-        lam = np.sort(rng.standard_normal(n))
-        for mult in all_patterns(n):
-            g = pattern_gap(lam, CollisionPattern(mult, n))
-            seen = set()
-            for block, l in zip(g.witness, mult):
-                assert len(block) == l
-                assert not seen & set(block)
-                seen |= set(block)
-            spans = [lam[b[-1]] - lam[b[0]] for b in g.witness]
-            assert max(spans) == pytest.approx(g.value, abs=1e-12)
-
-
 def test_pattern_gap_translation_invariance():
     # Exact invariance on dyadic values, where float addition is exact.
     rng = np.random.default_rng(49)
     lam = np.sort(rng.integers(-64, 64, size=6)) / 64.0
     p = CollisionPattern((2, 3), 6)
-    base = pattern_gap(lam, p).value
+    base = pattern_gap_values(lam, p)
     for c in (-5.0, 0.25, 12.5):
-        assert pattern_gap(np.sort(lam + c), p).value == base
+        assert pattern_gap_values(np.sort(lam + c), p) == base
     # and to rounding accuracy for generic values
     lam = np.sort(rng.standard_normal(6))
-    base = pattern_gap(lam, p).value
+    base = pattern_gap_values(lam, p)
     for c in (-3.7, 0.1):
-        assert pattern_gap(np.sort(lam + c), p).value == pytest.approx(base, abs=1e-12)
+        assert pattern_gap_values(np.sort(lam + c), p) == pytest.approx(base, abs=1e-12)
 
 
 def test_pattern_gap_lipschitz():
@@ -453,7 +387,7 @@ def test_pattern_gap_lipschitz():
         lam = np.sort(rng.standard_normal(7))
         eps = 10.0 ** rng.uniform(-6, -1)
         lam2 = np.sort(lam + rng.uniform(-eps, eps, size=7))
-        a, b = pattern_gap(lam, p).value, pattern_gap(lam2, p).value
+        a, b = pattern_gap_values(lam, p), pattern_gap_values(lam2, p)
         assert abs(a - b) <= 2 * np.abs(np.sort(lam2) - lam).max() + 1e-12
 
 
@@ -461,15 +395,15 @@ def test_pattern_gap_monotone_in_blocks():
     rng = np.random.default_rng(51)
     for _ in range(50):
         lam = np.sort(rng.standard_normal(8))
-        base = pattern_gap(lam, CollisionPattern((2,), 8)).value
-        more = pattern_gap(lam, CollisionPattern((2, 2), 8)).value
-        even_more = pattern_gap(lam, CollisionPattern((2, 2, 2), 8)).value
+        base = pattern_gap_values(lam, CollisionPattern((2,), 8))
+        more = pattern_gap_values(lam, CollisionPattern((2, 2), 8))
+        even_more = pattern_gap_values(lam, CollisionPattern((2, 2, 2), 8))
         assert base <= more <= even_more
 
 
 def test_pattern_gap_requires_sorted():
     with pytest.raises(ValueError):
-        pattern_gap(np.array([1.0, 0.5]), CollisionPattern((2,), 2))
+        pattern_gap_values(np.array([1.0, 0.5]), CollisionPattern((2,), 2))
 
 
 # -- spectral paths -----------------------------------------------------
