@@ -7,13 +7,15 @@ Subcommands, with the shared flags each one takes besides its own:
     collide-prob    hit fractions over the eps ladder   --config --seed --threads --json
     boxdim          box count of path 0's collisions    --config --seed --json
     sde             eigenvalue SDE paths, CSV           --seed --out --json
-    validate-field  assumption constants of the grid    --config --seed --json
+    validate-field  assumption constants of the grid    --config --json
     report          predict -> simulate -> estimate     --config --seed --out --threads --json
 
 A flag a subcommand does not declare is a usage error (exit 2), and so
 is a run flag next to `report --from DIR`, which re-prints a finished run.
 `simulate` and the simulate stage of `report` are one function,
 `harness.simulate`; `boxdim` counts boxes on the same path 0.
+`simulate --dump-field` writes one scalar-field draw of the config's
+kernel and grid as CSV.
 EIGENCOLLIDE_THREADS sets the thread count of the subcommands with
 --threads where neither the config nor --threads does.
 """
@@ -33,16 +35,8 @@ import yaml
 
 from . import __version__
 from .estimate import box_dim, collision_prob
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    check_config,
-    dump_field_csv,
-    field_report,
-    parse_config,
-    run,
-    simulate,
-)
+from .gfield import KernelSpec, sample_sheet, verify_assumptions
+from .harness import ConfigError, ExperimentConfig, check_config, parse_config, run, simulate
 from .sde import dyson_paths, wishart_paths
 from .theory import CollisionPattern, HurstVector, SpectralKind, dichotomy
 
@@ -126,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--x0", type=_floats, help="start positions (default zeros)")
 
-    p = sub("validate-field", "assumption constants on a grid", "--config --seed --json")
-    p.add_argument("--dump-field", help="write one scalar-field draw as CSV")
+    sub("validate-field", "assumption constants on a grid", "--config --json")
 
     p = sub("report", "full run: predict, simulate, estimate",
             "--config --seed --out --threads --json")
@@ -199,7 +192,7 @@ def _simulate(args) -> int:
     payload, _ = simulate(cfg)
     payload["grid_points"] = int(np.prod(cfg.resolution))
     if args.dump_field:
-        dump_field_csv(cfg, args.dump_field)
+        _dump_field_csv(cfg, args.dump_field)
         payload["field_csv"] = args.dump_field
     _emit(
         payload,
@@ -313,12 +306,20 @@ def _sde(args) -> int:
     return 0
 
 
+def _dump_field_csv(cfg: ExperimentConfig, path: str) -> None:
+    """One scalar-field draw as CSV: grid coordinates then the value."""
+    grid = cfg.time_grid()
+    sample = sample_sheet(KernelSpec(cfg.hurst_vector()), grid, cfg.seed, key=(0,))
+    header = ",".join("t%d" % (j + 1) for j in range(grid.ndim)) + ",value"
+    lines = [header]
+    for coords, value in zip(grid.points(), sample.values.ravel()):
+        lines.append(",".join("%.12g" % c for c in coords) + ",%.12g" % value)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _validate_field(args) -> int:
     cfg = _load_config(args)
-    payload = field_report(cfg)
-    if args.dump_field:
-        dump_field_csv(cfg, args.dump_field)
-        payload["field_csv"] = args.dump_field
+    payload = verify_assumptions(KernelSpec(cfg.hurst_vector()), cfg.time_grid()).to_json_dict()
     human = "c1=%.6g c3=%s c4=%s over %d points (%s)" % (
         payload["c1"],
         payload["c3"],

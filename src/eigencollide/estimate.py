@@ -89,12 +89,41 @@ _DROP_FINE = 1
 _BLOCK_POINTS = 1 << 14
 
 
-def _positive_ladder(values, name: str) -> tuple[float, ...]:
-    """The ladder as floats; ValueError unless every entry is finite and > 0."""
-    out = tuple(float(v) for v in values)
-    if not all(0 < v < math.inf for v in out):  # False for NaN
-        raise ValueError("%s entries must be finite and > 0" % name)
+def _finite_positive(v) -> bool:
+    return 0 < v < math.inf  # False for NaN
+
+
+def _mc_problems(eps: tuple, n_paths: int, threads: int) -> list[str]:
+    """What is wrong with the Monte Carlo arguments of `collision_prob`, in
+    config vocabulary; config validation reports the same list."""
+    out = []
+    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
+        out.append("eps_ladder must be strictly decreasing with >= 2 levels")
+    if not all(map(_finite_positive, eps)):
+        out.append("eps_ladder entries must be finite and > 0")
+    if n_paths < 100:
+        out.append("paths must be >= 100")
+    if threads < 1:
+        out.append("threads must be >= 1")
     return out
+
+
+def _box_problems(deltas: tuple, kappa) -> list[str]:
+    """What is wrong with the box-count arguments of `box_count_dimension`,
+    in config vocabulary; config validation reports the same list."""
+    out = []
+    if not all(map(_finite_positive, deltas)):
+        out.append("delta_ladder entries must be finite and > 0")
+    if len(set(deltas)) != len(deltas):
+        out.append("delta_ladder entries must not repeat")
+    if not _finite_positive(kappa):
+        out.append("kappa must be finite and > 0")
+    return out
+
+
+def _refuse(problems: list[str]) -> None:
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
@@ -178,10 +207,8 @@ def _check_matches(spec: EnsembleSpec, pattern: CollisionPattern, kind: Spectral
 
 
 def _block_rows(grid: TimeGrid) -> int:
-    """Rows per block of the path kernel: about `_BLOCK_POINTS` points, and
-    every row of a 1-d grid."""
-    if grid.ndim == 1:
-        return grid.shape[0]
+    """Rows per block of the path kernel: about `_BLOCK_POINTS` points
+    (`matfield._row_draws` draws a 1-d grid as one block whatever this is)."""
     return max(1, _BLOCK_POINTS // math.prod(grid.shape[1:]))
 
 
@@ -245,14 +272,11 @@ def collision_prob(
     excluded from the fractions, never silently dropped.  Results are a
     function of (seed, config) only.  A `kind` or `pattern` that does not
     fit `spec` (beta, square vs rectangular, ambient dimension) raises
-    ValueError.
+    ValueError, and so do the arguments `_mc_problems` names, all at once.
     """
     _check_matches(spec, pattern, kind)
-    eps = _positive_ladder(eps_ladder, "eps ladder")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-    if n_paths < 100:
-        raise ValueError("need at least 100 paths for a meaningful estimate")
+    eps = tuple(float(e) for e in eps_ladder)
+    _refuse(_mc_problems(eps, n_paths, threads))
 
     def one(p: int) -> float:
         low = math.inf  # np.minimum, unlike min(), keeps a NaN wherever it sits
@@ -263,7 +287,7 @@ def collision_prob(
             return math.nan
         return float(low)
 
-    if threads <= 1:
+    if threads == 1:
         mins = np.array([one(p) for p in range(n_paths)])
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -314,14 +338,11 @@ def box_count_dimension(
     occupied delta-boxes per ladder level, and fits the log-log slope by
     least squares.  The window drops the two coarsest levels and the
     finest one (boundary and discretization bias).  Too few usable levels
-    flag the estimate unreliable, never raise; ladder entries or a `kappa`
-    that are not finite and > 0 raise ValueError.
+    flag the estimate unreliable, never raise; the arguments
+    `_box_problems` names raise ValueError, all at once.
     """
-    deltas = tuple(sorted(_positive_ladder(delta_ladder, "delta ladder"), reverse=True))
-    if len(set(deltas)) != len(deltas):
-        raise ValueError("delta ladder must not contain repeats")
-    if not 0 < kappa < math.inf:
-        raise ValueError("kappa must be finite and > 0")
+    deltas = tuple(sorted((float(d) for d in delta_ladder), reverse=True))
+    _refuse(_box_problems(deltas, kappa))
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ValueError("values must be grid-shaped")

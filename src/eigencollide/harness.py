@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 import traceback
 from dataclasses import dataclass, fields, replace
@@ -38,8 +37,16 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .estimate import _box_holder, _path, box_count_dimension, verdict_experiment
-from .gfield import KernelSpec, TimeGrid, sample_sheet, verify_assumptions
+from .estimate import (
+    _box_holder,
+    _box_problems,
+    _check_matches,
+    _mc_problems,
+    _path,
+    box_count_dimension,
+    verdict_experiment,
+)
+from .gfield import KernelSpec, TimeGrid
 # sample_ensemble, spectral_path, pattern_gap_values: unused, bound for the benchmark's tracer
 from .matfield import EnsembleSpec, _check_path_bytes, sample_ensemble  # noqa: F401
 from .spectra import pattern_gap_values, spectral_path  # noqa: F401
@@ -153,9 +160,6 @@ def parse_config(text: str) -> ExperimentConfig:
     ]
     data = {k: _tupled(v) for k, v in raw.items() if k in known}
 
-    hurst = data.get("hurst")
-    if isinstance(hurst, tuple):
-        data["hurst"] = tuple(str(h) for h in hurst)
     required = ("kind", "shape", "pattern", "hurst", "resolution")
     for key in required:
         if key not in data:
@@ -163,6 +167,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if problems and any(p.startswith("missing") for p in problems):
         raise ConfigError("; ".join(problems))
 
+    hurst = data["hurst"]
     n_axes = len(hurst) if isinstance(hurst, tuple) else 0
     data.setdefault("interval", tuple([(1.0, 2.0)] * n_axes))
 
@@ -179,10 +184,6 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _finite_positive(v) -> bool:
-    return 0 < v < math.inf  # False for NaN
 
 
 def _is(kind):
@@ -231,6 +232,9 @@ _FIELD_TYPES = {
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
+    """Every violated invariant of `cfg`.  A rule the run enforces is asked
+    of its owner (`EnsembleSpec`, `HurstVector`, `CollisionPattern`,
+    `TimeGrid`, the estimators), so the config reports the run's message."""
     out = [
         "%s must be %s, got %r" % (name, what, getattr(cfg, name))
         for name, (check, what) in _FIELD_TYPES.items()
@@ -241,22 +245,16 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if cfg.kind not in _KINDS:
         out.append("kind must be one of %s" % sorted(_KINDS))
         return out
-    kind = cfg.spectral_kind
-    if kind.singular and len(cfg.shape) != 2:
-        out.append("singular kinds need shape (d1, d2)")
-    if not kind.singular and len(cfg.shape) != 1:
-        out.append("eigen kinds need shape (d,)")
-    if len(cfg.shape) == 2 and cfg.shape[0] > cfg.shape[1]:
-        out.append("rectangular shape needs d1 <= d2")
+    hv = pattern = grid = ensemble = None
     try:
         hv = cfg.hurst_vector()
     except (ValueError, TypeError, ZeroDivisionError) as err:
         out.append("hurst: %s" % err)
-        hv = None
-    try:
-        cfg.collision_pattern()
-    except ValueError as err:
-        out.append("pattern: %s" % err)
+    if cfg.shape:  # an empty shape has no ambient dimension; the ensemble names it
+        try:
+            pattern = cfg.collision_pattern()
+        except ValueError as err:
+            out.append("pattern: %s" % err)
     if hv is not None:
         if len(cfg.resolution) != len(hv):
             out.append("resolution needs one entry per hurst exponent")
@@ -265,39 +263,30 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if any(n < 2 for n in cfg.resolution):
         out.append("resolution entries must be >= 2 (every sampler needs two points per axis)")
     try:
-        cfg.time_grid()
+        grid = cfg.time_grid()
     except ValueError as err:
         out.append("grid: %s" % err)
-    eps = cfg.eps_ladder
-    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
-        out.append("eps_ladder must be strictly decreasing with >= 2 levels")
-    if not all(map(_finite_positive, eps)):
-        out.append("eps_ladder entries must be finite and > 0")
-    if not all(map(_finite_positive, cfg.delta_ladder)):
-        out.append("delta_ladder entries must be finite and > 0")
-    if len(set(cfg.delta_ladder)) != len(cfg.delta_ladder):
-        out.append("delta_ladder entries must not repeat")
-    if not _finite_positive(cfg.kappa):
-        out.append("kappa must be finite and > 0")
-    if cfg.paths < 100:
-        out.append("paths must be >= 100")
+    out += _mc_problems(cfg.eps_ladder, cfg.paths, cfg.threads)
+    out += _box_problems(cfg.delta_ladder, cfg.kappa)
     if not 0 <= cfg.seed < 2**64:
         out.append("seed must be a 64-bit unsigned integer")
-    if cfg.threads < 1:
-        out.append("threads must be >= 1")
     if cfg.boxdim and not cfg.delta_ladder:
         out.append("boxdim requested but delta_ladder is empty")
-    if out:
-        return out
-    try:
-        ensemble = cfg.ensemble()
-    except ValueError as err:
-        out.append("ensemble: %s" % err)
-        return out
-    try:
-        _check_path_bytes(ensemble, cfg.time_grid())
-    except ValueError as err:
-        out.append(str(err))
+    if hv is not None:
+        try:
+            ensemble = cfg.ensemble()
+        except ValueError as err:
+            out.append("ensemble: %s" % err)
+    if ensemble is not None and pattern is not None:
+        try:
+            _check_matches(ensemble, pattern, cfg.spectral_kind)
+        except ValueError as err:
+            out.append(str(err))
+    if ensemble is not None and grid is not None:
+        try:
+            _check_path_bytes(ensemble, grid)
+        except ValueError as err:
+            out.append(str(err))
     return out
 
 
@@ -462,24 +451,3 @@ def _persist(record: RunRecord, cfg: ExperimentConfig, out: Path) -> None:
                 lines.append("%.12g,%.12g,%d" % (d, t, c))
             (out / "boxes.csv").write_text("\n".join(lines) + "\n")
 
-
-def field_report(cfg: ExperimentConfig) -> dict:
-    """Assumption constants for the configured kernel/grid (validate-field)."""
-    spec = KernelSpec(cfg.hurst_vector())
-    report = verify_assumptions(spec, cfg.time_grid())
-    return report.to_json_dict()
-
-
-def dump_field_csv(cfg: ExperimentConfig, path: str) -> None:
-    """One scalar-field draw as CSV: grid coordinates then the value."""
-    grid = cfg.time_grid()
-    spec = KernelSpec(cfg.hurst_vector())
-    sample = sample_sheet(spec, grid, cfg.seed, key=(0,))
-    pts = grid.points()
-    header = ",".join("t%d" % (j + 1) for j in range(grid.ndim)) + ",value"
-    lines = [header]
-    for coords, value in zip(pts, sample.values.ravel()):
-        lines.append(
-            ",".join("%.12g" % c for c in coords) + ",%.12g" % value
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

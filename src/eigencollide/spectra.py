@@ -8,10 +8,10 @@ which passes it entry draws instead of matrices, so both routes agree bit
 for bit and name non-finite points with the same message.  2xn singular
 values take sigma_max from the 2x2 Gram matrix M M* and sigma_min from the
 2x2 minors of M (Cauchy-Binet), so small values keep relative accuracy.
-Everything else goes to batched LAPACK `eigvalsh`; singular values with
-d1 >= 3 go through the Gram matrix and lose values below about 1e-8 * |M|.
-The supported range is d <= 64.  Non-finite matrices and LAPACK failures
-raise `NumericalError` naming the offending batch indices.
+Everything else goes to batched LAPACK: `eigvalsh` for eigenvalues, `svd`
+for singular values.  The supported range is d <= 64.  Non-finite
+matrices and LAPACK failures raise `NumericalError` naming the offending
+batch indices.
 
 The pattern gap measures how far an ordered spectrum is from a prescribed
 multiple collision: the minimum over disjoint index blocks of the given
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as _iproduct
 
 import numpy as np
@@ -134,25 +135,30 @@ def _plane_spectrum(a, c, b_abs) -> tuple[np.ndarray, np.ndarray]:
     return lo, np.add(mid, r, out=mid)
 
 
-def _nonconverged(flat, start=0) -> list[int]:
-    """Batch indices on which LAPACK fails, found by bisecting the batch."""
+def _nonconverged(solve, flat, start=0) -> list[int]:
+    """Batch indices on which the LAPACK routine `solve` fails, found by
+    bisecting the batch."""
     try:
-        np.linalg.eigvalsh(flat)
+        solve(flat)
         return []
     except np.linalg.LinAlgError:
         if len(flat) == 1:
             return [start]
         half = len(flat) // 2
-        return _nonconverged(flat[:half], start) + _nonconverged(flat[half:], start + half)
+        return _nonconverged(solve, flat[:half], start) + _nonconverged(
+            solve, flat[half:], start + half
+        )
 
 
-def _eigvalsh(arr) -> np.ndarray:
+def _lapack(solve, arr, name: str) -> np.ndarray:
+    """`solve(arr)`; a failure of the LAPACK routine `name` raises
+    `NumericalError` naming the matrices it fails on."""
     try:
-        return np.linalg.eigvalsh(arr)
+        return solve(arr)
     except np.linalg.LinAlgError:
-        bad = _nonconverged(arr.reshape((-1,) + arr.shape[-2:]))
+        bad = _nonconverged(solve, arr.reshape((-1,) + arr.shape[-2:]))
         raise NumericalError(
-            "LAPACK eigvalsh did not converge for %d matrices" % len(bad),
+            "LAPACK %s did not converge for %d matrices" % (name, len(bad)),
             batch_indices=bad,
         ) from None
 
@@ -169,7 +175,7 @@ def eigvals_selfadjoint(mats) -> np.ndarray:
         raise ValueError("expected square matrices on the trailing axes")
     arr = _batch(arr, arr.shape[-1])
     if arr.shape[-1] != 2:
-        return _eigvalsh(arr)
+        return _lapack(np.linalg.eigvalsh, arr, "eigvalsh")
     a, c, b_abs = arr[..., 0, 0].real, arr[..., 1, 1].real, np.abs(arr[..., 1, 0])
     lo, hi = _plane_spectrum(a, c, b_abs)
     return np.stack([lo, hi], axis=-1)
@@ -181,17 +187,15 @@ def singvals(mats) -> np.ndarray:
     For d1 = 2 the largest value comes from the 2x2 Gram matrix M M* in
     closed form and the smallest from sigma_min * sigma_max = |det M M*|^(1/2),
     the norm of the 2x2 minors of M (Cauchy-Binet), so small singular values
-    keep their relative accuracy.  For other d1 they are square roots of the
-    Gram spectrum, clamped at zero; values below about 1e-8 * |M| are lost
-    there to rounding in M M*.
+    keep their relative accuracy.  Other d1 go to batched LAPACK `svd`,
+    which keeps small values accurate too.
     """
     arr = np.asarray(mats)
     if arr.ndim < 2 or arr.shape[-2] > arr.shape[-1]:
         raise ValueError("expected d1 <= d2 on the trailing axes")
     arr = _batch(arr, arr.shape[-2])
     if arr.shape[-2] != 2:
-        w = _eigvalsh(arr @ np.conj(arr).swapaxes(-1, -2))
-        return np.sqrt(np.clip(w, 0.0, None))
+        return _lapack(partial(np.linalg.svd, compute_uv=False), arr, "svd")[..., ::-1]
     top, bottom = arr[..., 0, :], arr[..., 1, :]
     mid, r = _mid_radius(
         _sqnorm(top),
@@ -281,14 +285,9 @@ def spectral_path(path, kind: SpectralKind) -> SpectralPath:
 
 
 def _spectra(values: np.ndarray, kind: SpectralKind) -> np.ndarray:
-    """Ordered spectra of a batch of matrices, by kind."""
-    if kind.singular:
-        if values.shape[-2] > values.shape[-1]:
-            raise ValueError("singular kind needs d1 <= d2")
-        return singvals(values)
-    if values.shape[-2] != values.shape[-1]:
-        raise ValueError("eigen kind needs square matrices")
-    return eigvals_selfadjoint(values)
+    """Ordered spectra of a batch of matrices, by kind; each solver refuses
+    matrices of the wrong shape."""
+    return singvals(values) if kind.singular else eigvals_selfadjoint(values)
 
 
 @contextmanager

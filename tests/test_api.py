@@ -1,5 +1,6 @@
 """Every exported name resolves, every name the demos and the README import
-from the package exists, every attribute the benchmark tracer wraps exists,
+from the package exists, every `eigencollide` command line of the README
+parses, every attribute the benchmark tracer wraps exists,
 every module-level import is read, exported or traced, and one smoke-size
 pass of every benchmark workload runs, so that deleting or re-signing a name
 the benchmark uses fails here."""
@@ -10,6 +11,7 @@ import importlib.util
 import json
 import pkgutil
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -58,6 +60,37 @@ def test_demo_and_readme_imports_resolve(label, source):
                 "%s.%s" % (node.module, a.name) for a in node.names if not hasattr(module, a.name)
             ]
     assert not missing, label
+
+
+def _readme_commands():
+    """Each `eigencollide` command of the README's sh blocks, split as a
+    shell would, with trailing comments dropped."""
+    for block in re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["eigencollide"]:
+                yield words[1:]
+
+
+README_COMMANDS = list(_readme_commands())
+
+
+def test_readme_has_commands():
+    assert len(README_COMMANDS) >= 8
+
+
+@pytest.mark.parametrize(
+    "argv", [pytest.param(a, id="%d-%s" % (i, a[0])) for i, a in enumerate(README_COMMANDS)]
+)
+def test_readme_command_lines_parse(argv, capsys):
+    # argparse only: no command runs
+    from eigencollide.cli import _build_parser
+
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail("README command does not parse: eigencollide %s\n%s"
+                    % (shlex.join(argv), capsys.readouterr().err))
 
 
 def test_tracer_boundaries_exist():

@@ -381,6 +381,16 @@ def test_collision_prob_validates():
     for ladder in [(0.4, -0.1), (0.4, 0.0), (0.4, float("nan")), (float("inf"), 0.4)]:
         with pytest.raises(ValueError, match="finite and > 0"):
             collision_prob(ensemble(["1/2"]), PAT2, RE, grid, ladder, 100, 1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (0.2, 0.1), 100, 1, threads)
+    # every problem at once, in the words config validation reports
+    with pytest.raises(ValueError) as err:
+        collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (0.1,), 50, 1, threads=0)
+    assert str(err.value) == (
+        "eps_ladder must be strictly decreasing with >= 2 levels; "
+        "paths must be >= 100; threads must be >= 1"
+    )
 
 
 @pytest.mark.parametrize(

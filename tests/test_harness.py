@@ -20,6 +20,7 @@ from eigencollide.harness import (
 )
 from eigencollide.matfield import sample_ensemble
 from eigencollide.spectra import pattern_gap_values, spectral_path
+from eigencollide.theory import Verdict, dichotomy
 
 MINIMAL = """
 kind: real-eigen
@@ -78,7 +79,7 @@ def test_hurst_order_rejected():
 
 def test_kind_shape_consistency():
     bad = MINIMAL.replace("kind: real-eigen", "kind: real-singular")
-    with pytest.raises(ConfigError, match="singular kinds need shape"):
+    with pytest.raises(ConfigError, match="real-singular needs a rectangular ensemble"):
         parse_config(bad)
 
 
@@ -91,6 +92,34 @@ def test_multiple_violations_reported_together():
         parse_config(bad)
     msg = str(err.value)
     assert "paths" in msg and "eps_ladder" in msg
+    # the kind/shape rule is asked of the ensemble even when another rule fails
+    bad = MINIMAL.replace("paths: 150", "paths: 10").replace(
+        "kind: real-eigen", "kind: real-singular"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    msg = str(err.value)
+    assert "paths must be >= 100" in msg
+    assert "real-singular needs a rectangular ensemble" in msg
+
+
+FLIP = """
+kind: real-eigen
+shape: [3]
+pattern: [3]
+hurst: [0.3333333333333333, 0.5]
+resolution: [8, 8]
+"""
+
+
+def test_float_exponents_that_would_flip_the_verdict_are_refused():
+    # Q = c is the Zero side, so a rounded exponent can flip the verdict:
+    # 0.3333333333333333 would read Positive where "1/3" reads Zero
+    with pytest.raises(ConfigError, match="hurst must be a list of rationals"):
+        parse_config(FLIP)
+    cfg = parse_config(FLIP.replace("0.3333333333333333, 0.5", '"1/3", "1/2"'))
+    verdict = dichotomy(cfg.hurst_vector(), cfg.spectral_kind, cfg.collision_pattern())
+    assert (verdict.Q, verdict.codim, verdict.verdict) == (5, 5, Verdict.ZERO)
 
 
 @pytest.mark.parametrize(
@@ -102,6 +131,7 @@ def test_multiple_violations_reported_together():
         ("eps_ladder: [0.8, 0.4, 0.2]", "eps_ladder: 0.5", "eps_ladder must be a list"),
         ("eps_ladder: [0.8, 0.4, 0.2]", 'eps_ladder: [0.8, "x"]', "eps_ladder must be a list"),
         ('hurst: ["1/2", "1/2"]', "hurst: 0.5", "hurst must be a list"),
+        ('hurst: ["1/2", "1/2"]', "hurst: [0.5, 0.5]", "hurst must be a list of rationals"),
         ("resolution: [32, 32]", "resolution: 32", "resolution must be a list"),
         ("shape: [2]", "shape: [[2]]", "shape must be a list"),
         ("seed: 11", "seed: 11\ninterval: [1, 2]", "interval must be a list"),
@@ -349,15 +379,23 @@ def test_cli_report_names_the_config_out_dir(tmp_path, capsys):
 def test_cli_validate_field(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(MINIMAL.replace("resolution: [32, 32]", "resolution: [6, 6]"))
-    dump = tmp_path / "field.csv"
-    rc = cli(["validate-field", "--config", str(cfg_file), "--json",
-              "--dump-field", str(dump)])
+    rc = cli(["validate-field", "--config", str(cfg_file), "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
-    header = dump.read_text().splitlines()
-    assert header[0] == "t1,t2,value"
-    assert len(header) == 37
+
+
+def test_cli_simulate_dump_field(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL.replace("resolution: [32, 32]", "resolution: [6, 6]"))
+    dump = tmp_path / "field.csv"
+    rc = cli(["simulate", "--config", str(cfg_file), "--json", "--dump-field", str(dump)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["field_csv"] == str(dump)
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "t1,t2,value"
+    assert len(lines) == 37
+    assert lines[1].startswith("1,1,")  # the default box starts at (1, 1)
 
 
 def test_cli_simulate(tmp_path, capsys):
@@ -382,6 +420,50 @@ def test_cli_collide_prob_overrides(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_paths"] == 120
     assert payload["eps_ladder"] == [1.0, 0.5]
+
+
+def test_cli_collide_prob_names_failed_paths(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(BOXED)
+    assert cli(["collide-prob", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "failed paths: 1 of 100"
+
+
+def test_cli_boxdim_without_delta_ladder_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL)
+    assert cli(["boxdim", "--config", str(cfg_file)]) == 2
+    assert "boxdim needs delta_ladder" in capsys.readouterr().err
+
+
+# 2x2 real Brownian sheet whose path 0 box count has a slope but too few
+# well-filled levels, so the estimate is flagged unreliable
+SLOPED = MINIMAL.replace("resolution: [32, 32]", "resolution: [64, 64]") + (
+    "delta_ladder: [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]\nkappa: 5\nboxdim: true\n"
+)
+
+
+def test_cli_boxdim_prints_the_slope(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(SLOPED)
+    assert cli(["boxdim", "--config", str(cfg_file)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("slope -0.5498 +- ") and "levels  [unreliable: " in out
+
+
+def test_cli_report_prints_slope_and_warnings(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(SLOPED)
+    assert cli(["report", "--config", str(cfg_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "boxdim: slope -0.5498" in lines
+    assert lines[-1].startswith("warning: boxdim unreliable: ")
+
+
+def test_cli_report_from_without_record_exits_1(tmp_path, capsys):
+    assert cli(["report", "--from", str(tmp_path)]) == 1
+    assert "no record.json under %s" % tmp_path in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -568,7 +650,7 @@ SHARED_FLAGS = {
     "collide-prob": {"--config", "--seed", "--threads", "--json"},
     "boxdim": {"--config", "--seed", "--json"},
     "sde": {"--seed", "--out", "--json"},
-    "validate-field": {"--config", "--seed", "--json"},
+    "validate-field": {"--config", "--json"},
     "report": {"--config", "--seed", "--out", "--threads", "--json"},
 }
 
@@ -582,7 +664,7 @@ def test_cli_declares_only_the_shared_flags_each_command_reads():
         for name, sub in subs.choices.items()
     }
     assert {name: opts & shared for name, opts in declared.items()} == SHARED_FLAGS
-    assert sum(len(opts) for opts in declared.values()) == 45
+    assert sum(len(opts) for opts in declared.values()) == 43
 
 
 RUN_FLAGS = ("--config", "--seed", "--threads", "--out")

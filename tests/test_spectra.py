@@ -227,6 +227,36 @@ def test_singvals_2xn_small_value_keeps_relative_accuracy(complex_):
         assert big == pytest.approx(1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_singvals_3xn_small_value_keeps_relative_accuracy(complex_):
+    # The Gram route M M* returned 3.4e-9 for sigma = 1e-9 here.
+    rng = np.random.default_rng(58)
+    for _ in range(20):
+        u, v = _unitary(rng, 3, complex_), _unitary(rng, 4, complex_)
+        m = u @ np.diag([1e-9, 0.5, 1.0]) @ np.conj(v.T)[:3]
+        got = singvals(m)
+        assert got[0] == pytest.approx(1e-9, rel=1e-6)
+        assert got[1:] == pytest.approx([0.5, 1.0], rel=1e-14)
+
+
+def test_singvals_lapack_failure_bisected_to_matrices(monkeypatch):
+    # as for eigvalsh: a stand-in SVD that fails on every batch holding a
+    # marked matrix
+    lapack = np.linalg.svd
+
+    def failing(a, **kwargs):
+        if np.any(a[..., 0, 0] == 7.0):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return lapack(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    mats = np.stack([np.eye(3, 4)] * 11)
+    mats[[4, 5], 0, 0] = 7.0
+    with pytest.raises(NumericalError, match="LAPACK svd did not converge for 2 matrices") as err:
+        singvals(mats)
+    assert err.value.batch_indices == (4, 5)
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_singvals_2xn_extreme_scales(scale):
     rng = np.random.default_rng(57)
