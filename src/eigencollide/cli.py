@@ -13,7 +13,9 @@ Subcommands, with the shared flags each one takes besides its own:
 A flag a subcommand does not declare is a usage error (exit 2), and so
 is a run flag next to `report --from DIR`, which re-prints a finished run.
 `simulate` and the simulate stage of `report` are one function,
-`harness.simulate`; `boxdim` counts boxes on the same path 0.
+`harness.simulate`, one streamed pass over path 0 that also counts its
+boxes when the config asks for them; `boxdim` counts boxes on the same
+path 0 in the same way.
 `simulate --dump-field` writes one scalar-field draw of the config's
 kernel and grid as CSV.
 EIGENCOLLIDE_THREADS sets the thread count of the subcommands with

@@ -15,24 +15,24 @@ about delta^H across a box of side delta, so a fixed threshold would
 overestimate the dimension.  Box counting is a numerical proxy for the
 covering dimension; no capacity lower bound is attempted.  The path is
 Monte Carlo path 0: `harness.run` draws it once, in its simulate stage,
-and passes its gaps to `box_count_dimension` and the estimate to
-`verdict_experiment`.  `collision_prob` still draws path 0 again as one
-of its paths; threading it through would add a parameter to save 1/paths
-of the work.
+which counts its boxes, and passes the counts to the slope fit and the
+estimate to `verdict_experiment`.  `collision_prob` still draws path 0
+again as one of its paths; threading it through would add a parameter
+to save 1/paths of the work.
 
 `_path_rows`, the one path kernel, walks a path in blocks of about
 `_BLOCK_POINTS` points (whole rows along axis 0; a 1-d grid is one block)
-and yields each block's spectrum extremes and pattern gaps.
-`collision_prob` keeps only a running minimum, so it holds no grid-sized
-array per path; `_path` joins the blocks into the gap grid that `box_dim`
-and `harness.simulate` read.  The kernel has two routes, chosen from the
-ensemble alone.  A plain 2x2 self-adjoint ensemble (shape (2,), no shift,
-no transform) takes the plane route: the entry draws go straight into the
-closed-form spectrum, and the gap is hi - lo, with no matrix path,
-spectra array or gap DP.  Every other ensemble (d >= 3, a shift or
-transform, 2xn singular values) takes the general route: each block's
-matrices (`matfield._ensemble_rows`), their spectra, then
-`pattern_gap_values`.  Both routes are bitwise the whole-grid reference
+and yields each block's spectrum extremes and pattern gaps.  Its one
+consumer, `_path_pass`, keeps running reductions over the blocks: the
+spectrum min and max, the min gap and, when given a `_BoxCounts`, the
+occupied boxes of each delta.  No reader holds a grid-sized array per
+path.  The kernel has two routes, chosen from the ensemble alone.  A
+plain 2x2 self-adjoint ensemble (shape (2,), no shift, no transform)
+takes the plane route: the entry draws go straight into the closed-form
+spectrum, and the gap is hi - lo, with no matrix path, spectra array or
+gap DP.  Every other ensemble (d >= 3, a shift or transform, 2xn
+singular values) takes the general route: each block's matrices
+(`matfield._ensemble_rows`), their spectra, then `pattern_gap_values`.  Both routes are bitwise the whole-grid reference
 `pattern_gap_values(spectral_path(sample_ensemble(...)).values)`: each
 block draws the next rows of the same entry streams (see `matfield`),
 and every later step acts point by point.  A sheet with a dense
@@ -109,8 +109,9 @@ def _mc_problems(eps: tuple, n_paths: int, threads: int) -> list[str]:
 
 
 def _box_problems(deltas: tuple, kappa) -> list[str]:
-    """What is wrong with the box-count arguments of `box_count_dimension`,
-    in config vocabulary; config validation reports the same list."""
+    """What is wrong with the box-count arguments of `box_count_dimension`
+    and `box_dim`, in config vocabulary; config validation reports the
+    same list."""
     out = []
     if not all(map(_finite_positive, deltas)):
         out.append("delta_ladder entries must be finite and > 0")
@@ -241,19 +242,17 @@ def _path_rows(spec, pattern, kind, grid, seed, path_index):
         yield start, values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
 
 
-def _path(spec, pattern, kind, grid, seed, path_index):
-    """(spectrum min, spectrum max, pattern gaps over the whole grid) of
-    Monte Carlo path `path_index`, joined from `_path_rows`."""
-    low, high, gaps = math.inf, -math.inf, None
-    for start, lo, hi, block in _path_rows(spec, pattern, kind, grid, seed, path_index):
-        low, high = np.minimum(low, lo), np.maximum(high, hi)
-        if len(block) == grid.shape[0]:
-            gaps = block
-            continue
-        if gaps is None:
-            gaps = np.empty(grid.shape)
-        gaps[start : start + len(block)] = block
-    return low, high, gaps
+def _path_pass(spec, pattern, kind, grid, seed, path_index, boxes=None):
+    """(spectrum min, spectrum max, min pattern gap) of Monte Carlo path
+    `path_index`, reduced block by block over `_path_rows`; each block's
+    gaps are also added to `boxes` when one is given."""
+    # np.minimum, unlike min(), keeps a NaN wherever it sits
+    low, high, gap = math.inf, -math.inf, math.inf
+    for start, lo, hi, gaps in _path_rows(spec, pattern, kind, grid, seed, path_index):
+        low, high, gap = np.minimum(low, lo), np.maximum(high, hi), np.minimum(gap, gaps.min())
+        if boxes is not None:
+            boxes.add(start, gaps)
+    return low, high, gap
 
 
 def collision_prob(
@@ -279,13 +278,10 @@ def collision_prob(
     _refuse(_mc_problems(eps, n_paths, threads))
 
     def one(p: int) -> float:
-        low = math.inf  # np.minimum, unlike min(), keeps a NaN wherever it sits
         try:
-            for *_, gaps in _path_rows(spec, pattern, kind, grid, seed, p):
-                low = np.minimum(low, gaps.min())
+            return float(_path_pass(spec, pattern, kind, grid, seed, p)[2])
         except NumericalError:
             return math.nan
-        return float(low)
 
     if threads == 1:
         mins = np.array([one(p) for p in range(n_paths)])
@@ -308,52 +304,62 @@ def collision_prob(
     )
 
 
-def _box_count(marked: np.ndarray, grid: TimeGrid, delta: float) -> int:
-    """Number of delta-boxes (physical side length) meeting the marked set.
-
-    A box's points along each axis are one contiguous run of the axis, so
-    `logical_or.reduceat` over the runs, axis by axis, leaves one flag per
-    box, and nothing larger than the boolean mask is built.
-    """
-    occupied = marked
-    for j in range(grid.ndim):
-        a, b = grid.intervals[j]
-        n_boxes = max(1, math.ceil((b - a) / delta - 1e-12))
-        ids = np.minimum(np.floor((grid.axis(j) - a) / delta).astype(np.int64), n_boxes - 1)
-        starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        occupied = np.logical_or.reduceat(occupied, starts, axis=j)
-    return int(np.count_nonzero(occupied))
+def _box_runs(grid: TimeGrid, axis: int, delta: float) -> np.ndarray:
+    """Run index of each point of `grid.axis(axis)` among the delta-boxes
+    (physical side length) the axis meets.  A box's points along an axis
+    are one contiguous run, so boxes are indexed by run, never by box id:
+    a fine delta has more boxes than the axis has points."""
+    a, b = grid.intervals[axis]
+    n_boxes = max(1, math.ceil((b - a) / delta - 1e-12))
+    ids = np.minimum(np.floor((grid.axis(axis) - a) / delta).astype(np.int64), n_boxes - 1)
+    return np.cumsum(np.diff(ids, prepend=ids[0]) != 0)
 
 
-def box_count_dimension(
-    values: np.ndarray,
-    grid: TimeGrid,
-    delta_ladder,
-    holder: float,
-    kappa: float = 1.0,
-) -> BoxDimEstimate:
-    """Box-counting slope for the near-zero set of a nonnegative field.
+def _run_starts(runs: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.diff(runs, prepend=-1))
 
-    Marks grid points where `values` <= kappa * delta^holder, counts
-    occupied delta-boxes per ladder level, and fits the log-log slope by
-    least squares.  The window drops the two coarsest levels and the
-    finest one (boundary and discretization bias).  Too few usable levels
-    flag the estimate unreliable, never raise; the arguments
-    `_box_problems` names raise ValueError, all at once.
-    """
-    deltas = tuple(sorted((float(d) for d in delta_ladder), reverse=True))
-    _refuse(_box_problems(deltas, kappa))
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != grid.shape:
-        raise ValueError("values must be grid-shaped")
+
+class _BoxCounts:
+    """Occupied delta-boxes of {gaps <= kappa * delta^holder} for each delta
+    of a ladder, accumulated over blocks of whole rows along axis 0.
+
+    Per block and delta, `logical_or.reduceat` over the box runs of axes
+    1.. and then over the block's runs of axis 0 leaves one flag per box,
+    ORed into an occupancy array of one flag per (run, run, ...); nothing
+    larger than a block's mask and the occupancy arrays is built."""
+
+    def __init__(self, grid: TimeGrid, delta_ladder, holder: float, kappa: float):
+        self.deltas = tuple(sorted((float(d) for d in delta_ladder), reverse=True))
+        self.thresholds = tuple(kappa * delta**holder for delta in self.deltas)
+        # per delta: threshold, axis-0 run of each row, run starts of axes
+        # 1.., occupancy
+        self._levels = []
+        for delta, thr in zip(self.deltas, self.thresholds):
+            runs = [_box_runs(grid, j, delta) for j in range(grid.ndim)]
+            occupied = np.zeros([r[-1] + 1 for r in runs], dtype=bool)
+            self._levels.append((thr, runs[0], [_run_starts(r) for r in runs[1:]], occupied))
+
+    def add(self, start: int, gaps: np.ndarray) -> None:
+        """Mark the block of rows `start` .. `start + len(gaps)`."""
+        for thr, rows, starts, occupied in self._levels:
+            marked = gaps <= thr
+            for j, s in enumerate(starts, 1):
+                marked = np.logical_or.reduceat(marked, s, axis=j)
+            runs = rows[start : start + len(gaps)]
+            first = _run_starts(runs)
+            occupied[runs[first]] |= np.logical_or.reduceat(marked, first, axis=0)
+
+    def counts(self) -> tuple[int, ...]:
+        return tuple(int(np.count_nonzero(occupied)) for *_, occupied in self._levels)
+
+
+def _box_fit(boxes: _BoxCounts) -> BoxDimEstimate:
+    """Least-squares log-log slope of the counts over the fit window, which
+    drops the two coarsest levels and the finest one (boundary and
+    discretization bias).  Too few usable levels flag the estimate
+    unreliable, never raise."""
+    deltas, counts = boxes.deltas, boxes.counts()
     notes = []
-    counts = []
-    thresholds = []
-    for delta in deltas:
-        thr = kappa * delta**holder
-        thresholds.append(thr)
-        counts.append(_box_count(vals <= thr, grid, delta))
-
     lo = _DROP_COARSE
     hi = len(deltas) - _DROP_FINE
     window = [
@@ -377,8 +383,8 @@ def box_count_dimension(
         notes.append("not enough occupied levels to fit a slope")
     return BoxDimEstimate(
         deltas=deltas,
-        counts=tuple(counts),
-        thresholds=tuple(thresholds),
+        counts=counts,
+        thresholds=boxes.thresholds,
         slope=slope,
         stderr=stderr,
         window=tuple(d for d, _ in window),
@@ -387,16 +393,48 @@ def box_count_dimension(
     )
 
 
-def _box_holder(spec: EnsembleSpec) -> float:
-    """Threshold exponent of the isotropic box count: the largest Hurst
-    exponent.  Refuses H_N / H_1 > 2, which the isotropic boxes cannot
-    follow."""
+def box_count_dimension(
+    values: np.ndarray,
+    grid: TimeGrid,
+    delta_ladder,
+    holder: float,
+    kappa: float = 1.0,
+) -> BoxDimEstimate:
+    """Box-counting slope for the near-zero set of a nonnegative field.
+
+    Marks grid points where `values` <= kappa * delta^holder, counts
+    occupied delta-boxes per ladder level (one block of the counter
+    `box_dim` streams a path through), and fits the log-log slope.
+    Non-finite `values`, a `holder` that is not finite and > 0 and the
+    arguments `_box_problems` names raise ValueError, all at once.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != grid.shape:
+        raise ValueError("values must be grid-shaped")
+    deltas = tuple(float(d) for d in delta_ladder)
+    problems = _box_problems(deltas, kappa)
+    if not _finite_positive(holder):
+        problems.append("holder must be finite and > 0")
+    if not np.isfinite(vals).all():
+        problems.append("values must be finite")
+    _refuse(problems)
+    boxes = _BoxCounts(grid, deltas, holder, kappa)
+    boxes.add(0, vals)
+    return _box_fit(boxes)
+
+
+def _anisotropy_problems(spec: EnsembleSpec) -> list[str]:
+    """H_N / H_1 > 2, which the isotropic boxes cannot follow."""
     hs = spec.kernel.hurst.as_floats()
     if max(hs) / min(hs) > 2.0:
-        raise ValueError(
-            "anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting"
-        )
-    return max(hs)
+        return ["anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting"]
+    return []
+
+
+def _path_boxes(spec: EnsembleSpec, grid: TimeGrid, delta_ladder, kappa: float) -> _BoxCounts:
+    """Box counter for a path of `spec`; its threshold exponent is the
+    largest Hurst exponent."""
+    return _BoxCounts(grid, delta_ladder, max(spec.kernel.hurst.as_floats()), kappa)
 
 
 def box_dim(
@@ -413,12 +451,15 @@ def box_dim(
 
     Anisotropic exponent vectors with H_N / H_1 > 2 are refused: isotropic
     boxes would then need axis-specific scaling the estimator does not do.
-    Inputs that do not fit `spec` raise ValueError, as in `collision_prob`.
+    They, the arguments `_box_problems` names and inputs that do not fit
+    `spec` (as in `collision_prob`) raise ValueError before any draw.
     """
     _check_matches(spec, pattern, kind)
-    holder = _box_holder(spec)
-    gaps = _path(spec, pattern, kind, grid, seed, 0)[2]
-    return box_count_dimension(gaps, grid, delta_ladder, holder=holder, kappa=kappa)
+    deltas = tuple(float(d) for d in delta_ladder)
+    _refuse(_anisotropy_problems(spec) + _box_problems(deltas, kappa))
+    boxes = _path_boxes(spec, grid, deltas, kappa)
+    _path_pass(spec, pattern, kind, grid, seed, 0, boxes)
+    return _box_fit(boxes)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ under the configured directory:
     hits.csv      per-epsilon hit fractions
     boxes.csv     per-delta box counts (when box counting is requested)
 
-`simulate` draws Monte Carlo path 0 once, by the estimators' path kernel:
-its summary is the simulate stage's output (and the `simulate` command's),
-and its gap grid feeds the box count of the estimate stage.  The Monte
-Carlo estimate draws path 0 again as one of its paths.
+`simulate` draws Monte Carlo path 0 once, in one pass of the estimators'
+path kernel: its summary is the simulate stage's output (and the
+`simulate` command's), and, when box counting is requested, the same pass
+counts its boxes, which the estimate stage only fits.  The Monte Carlo
+estimate draws path 0 again as one of its paths.
 
 Rationals are rendered as exact "p/q" strings in all JSON output.
 """
@@ -38,12 +39,15 @@ import yaml
 
 from . import __version__
 from .estimate import (
-    _box_holder,
+    _anisotropy_problems,
+    _box_fit,
     _box_problems,
+    _BoxCounts,
     _check_matches,
     _mc_problems,
-    _path,
-    box_count_dimension,
+    _path_boxes,
+    _path_pass,
+    _refuse,
     verdict_experiment,
 )
 from .gfield import KernelSpec, TimeGrid
@@ -336,18 +340,21 @@ class RunRecord:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def simulate(cfg: ExperimentConfig) -> tuple[dict, np.ndarray]:
-    """Monte Carlo path 0 of `cfg`: its spectral summary and its grid of
-    pattern gaps, from the estimators' path kernel."""
-    low, high, gaps = _path(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind,
-                            cfg.time_grid(), cfg.seed, 0)
+def simulate(cfg: ExperimentConfig) -> tuple[dict, _BoxCounts | None]:
+    """Monte Carlo path 0 of `cfg`, in one pass of the estimators' path
+    kernel: its spectral summary and, when `cfg.boxdim` is set, its box
+    counts over `cfg.delta_ladder`."""
+    spec, grid = cfg.ensemble(), cfg.time_grid()
+    boxes = _path_boxes(spec, grid, cfg.delta_ladder, cfg.kappa) if cfg.boxdim else None
+    low, high, gap = _path_pass(spec, cfg.collision_pattern(), cfg.spectral_kind, grid,
+                                cfg.seed, 0, boxes)
     summary = {
         "path_index": 0,
         "spectrum_min": float(low),
         "spectrum_max": float(high),
-        "min_pattern_gap": float(gaps.min()),
+        "min_pattern_gap": float(gap),
     }
-    return summary, gaps
+    return summary, boxes
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
@@ -378,9 +385,9 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gaps = simulate_error = None
+    boxes = simulate_error = None
     try:
-        outputs["simulate"], gaps = simulate(cfg)
+        outputs["simulate"], boxes = simulate(cfg)
     except Exception as err:  # record and continue: partial outputs survive
         simulate_error = err
         fail("simulate", err)
@@ -390,12 +397,10 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     try:
         boxdim = None
         if cfg.boxdim:
-            holder = _box_holder(ensemble)
-            if gaps is None:  # the box count needs path 0
+            _refuse(_anisotropy_problems(ensemble))
+            if boxes is None:  # the box count is path 0's
                 raise simulate_error
-            boxdim = box_count_dimension(
-                gaps, grid, cfg.delta_ladder, holder=holder, kappa=cfg.kappa
-            )
+            boxdim = _box_fit(boxes)
         report = verdict_experiment(
             ensemble,
             pattern,

@@ -133,9 +133,23 @@ def _general_gaps(spec, grid, seed, path_index):
     return pattern_gap_values(spectral_path(path, kind).values, PAT2)
 
 
+def _joined_path(spec, kind, grid, seed, path_index):
+    """(spectrum min, spectrum max, gap grid) of a Monte Carlo path, its
+    `_path_rows` blocks joined in row order."""
+    low, high, gaps = math.inf, -math.inf, np.empty(grid.shape)
+    end = 0
+    for start, lo, hi, block in estimate._path_rows(spec, PAT2, kind, grid, seed, path_index):
+        assert start == end
+        low, high = np.minimum(low, lo), np.maximum(high, hi)
+        end = start + len(block)
+        gaps[start:end] = block
+    assert end == grid.shape[0]
+    return low, high, gaps
+
+
 def _plane_gaps(spec, grid, seed, path_index):
     kind = SpectralKind.REAL_EIGEN if spec.beta == 1 else SpectralKind.COMPLEX_EIGEN
-    return estimate._path(spec, PAT2, kind, grid, seed, path_index)[2]
+    return _joined_path(spec, kind, grid, seed, path_index)[2]
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -212,7 +226,7 @@ def test_streamed_path_bitwise_equals_whole_grid_route(case, shape, beta):
     assert estimate._block_rows(grid) < grid.shape[0]
     spec, kind = ensemble(hs, shape=shape, beta=beta), _kind(shape, beta)
     for path_index in (0, 7):
-        low, high, gaps = estimate._path(spec, PAT2, kind, grid, 21, path_index)
+        low, high, gaps = _joined_path(spec, kind, grid, 21, path_index)
         values = spectral_path(sample_ensemble(spec, grid, 21, path_index), kind).values
         want = (values.min(), values.max(), pattern_gap_values(values, PAT2))
         assert gaps.shape == grid.shape
@@ -258,7 +272,7 @@ def test_thread_count_cannot_matter_on_multi_block_grids(shape):
     b = collision_prob(spec, PAT2, kind, grid, ladder, 100, 13, threads=2)
     assert a == b
     # the running minimum over blocks is the whole grid's
-    mins = [estimate._path(spec, PAT2, kind, grid, 13, p)[2].min() for p in range(100)]
+    mins = [_joined_path(spec, kind, grid, 13, p)[2].min() for p in range(100)]
     assert a.hits == tuple(int(sum(m <= e for m in mins)) for e in ladder)
 
 
@@ -277,29 +291,45 @@ def _box_count_reference(marked, grid, delta):
     return int(np.unique(flat_id[marked]).size)
 
 
+BOX_GRIDS = {
+    "1d": TimeGrid.unit([4096]),
+    "1d-short": TimeGrid([(1.0, 1.7)], [5]),
+    "2d": TimeGrid.unit([64, 64]),
+    "2d-uneven": TimeGrid([(1.0, 2.0), (0.5, 3.3)], [100, 37]),
+    "3d": TimeGrid.unit([9, 10, 11]),
+}
+
+
 @pytest.mark.parametrize(
-    "grid",
+    "grid, rows",
     [
-        TimeGrid.unit([4096]),
-        TimeGrid([(1.0, 1.7)], [5]),
-        TimeGrid.unit([64, 64]),
-        TimeGrid([(1.0, 2.0), (0.5, 3.3)], [100, 37]),
-        TimeGrid.unit([9, 10, 11]),
+        pytest.param(grid, rows, id=name + ("-rows-%d" % rows if rows else ""))
+        for name, grid in BOX_GRIDS.items()
+        for rows in (None, 1, 7)
     ],
-    ids=["1d", "1d-short", "2d", "2d-uneven", "3d"],
 )
-def test_box_count_equals_distinct_box_ids(grid):
+def test_box_count_equals_distinct_box_ids(grid, rows):
+    # the counter sees the mask in blocks of `rows` rows (None: one block);
+    # 3d at delta = 1e-3 has more boxes along each axis than points
     rng = np.random.default_rng(4)
     masks = [np.zeros(grid.shape, bool), np.ones(grid.shape, bool)]
     masks += [rng.random(grid.shape) < p for p in (0.003, 0.05, 0.5)]
+    step = rows or grid.shape[0]
     for marked in masks:
-        for delta in (2.0, 0.5, 0.3, 0.1, 0.013, 1e-3, 1e-5):
-            want = _box_count_reference(marked, grid, delta)
-            assert estimate._box_count(marked, grid, delta) == want
+        gaps = np.where(marked, 0.0, np.inf)  # marked at every threshold, or at none
+        boxes = estimate._BoxCounts(grid, (2.0, 0.5, 0.3, 0.1, 0.013, 1e-3, 1e-5), 0.5, 1.0)
+        for start in range(0, grid.shape[0], step):
+            boxes.add(start, gaps[start : start + step])
+        want = tuple(_box_count_reference(marked, grid, delta) for delta in boxes.deltas)
+        assert boxes.counts() == want
+
+
+# tracemalloc peak of a box count on a plain 2x2 sheet, whatever the grid:
+# the streamed count measured 1.6 MiB at 1024^2, whose gap grid is 8 MiB
+_BOX_PEAK = 4 * 2**20
 
 
 def test_box_dim_memory_does_not_follow_the_grid():
-    # 1024^2 gap grid: 8 MiB; the whole-grid kernel peaked at 50 MiB
     grid = TimeGrid.unit([1024, 1024])
     ladder = [2.0**-k for k in range(1, 9)]
     tracemalloc.start()
@@ -308,7 +338,23 @@ def test_box_dim_memory_does_not_follow_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < _BOX_PEAK
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_simulate_box_count_memory_does_not_follow_the_grid(n):
+    cfg = ExperimentConfig(
+        kind="real-eigen", shape=(2,), pattern=(2,), hurst=("1/2", "1/2"),
+        resolution=(n, n), interval=((1.0, 2.0), (1.0, 2.0)),
+        delta_ladder=tuple(2.0**-k for k in range(1, 9)), boxdim=True,
+    )
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _BOX_PEAK
 
 
 def _traced_peak(f):
@@ -331,7 +377,7 @@ def test_entry_streams_are_dropped_after_their_last_block():
     peak = _traced_peak(lambda: assemble_rect(spec, grid, 3, 1))
     assert peak < 6 * draw + 3 * draw  # output + 3 draws
     kind = SpectralKind.REAL_SINGULAR
-    peak = _traced_peak(lambda: estimate._path(spec, PAT2, kind, grid, 3, 1))
+    peak = _traced_peak(lambda: _joined_path(spec, kind, grid, 3, 1))
     assert peak < 3 * 2**20
 
 
@@ -407,6 +453,29 @@ def test_box_count_rejects_nonpositive_ladder_or_kappa(ladder, kappa):
     grid = TimeGrid.unit([16])
     with pytest.raises(ValueError, match="finite and > 0"):
         box_count_dimension(np.ones(grid.shape), grid, ladder, holder=0.5, kappa=kappa)
+
+
+@pytest.mark.parametrize(
+    "fill, holder, named",
+    [
+        (np.nan, 0.5, "values must be finite"),
+        (np.inf, 0.5, "values must be finite"),
+        (1.0, float("nan"), "holder must be finite and > 0"),
+        (1.0, -1.0, "holder must be finite and > 0"),
+        (1.0, 0.0, "holder must be finite and > 0"),
+        (1.0, float("inf"), "holder must be finite and > 0"),
+        (np.nan, -1.0, "holder must be finite and > 0; values must be finite"),
+    ],
+)
+def test_box_count_refuses_nonfinite_values_or_bad_holder(fill, holder, named):
+    # a NaN must not read as "no collision", and a holder <= 0 would make
+    # the thresholds grow as delta shrinks
+    grid = TimeGrid.unit([16])
+    values = np.ones(grid.shape)
+    values[3] = fill
+    with pytest.raises(ValueError) as err:
+        box_count_dimension(values, grid, [0.5, 0.25, 0.125], holder=holder)
+    assert str(err.value) == named
 
 
 MISMATCHED = {

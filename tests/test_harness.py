@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eigencollide.cli import _build_parser, cli
+from eigencollide.estimate import box_count_dimension
 from eigencollide.gfield import sample_fbm_1d
 from eigencollide.harness import (
     ConfigError,
@@ -225,7 +226,7 @@ def _nan_at_point_5(values):
 
 
 def _assert_path0_failure(text, tmp_path):
-    # The box count uses path 0's gaps from the simulate stage, so a path 0
+    # The box count is path 0's, counted in the simulate stage, so a path 0
     # the eigensolver rejects fails the estimate stage with the same message.
     warnings = _stage_warnings(text, tmp_path)
     assert len(warnings) == 2
@@ -302,13 +303,18 @@ def _bits(x):
 
 @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
 def test_simulate_equals_the_reference_pipeline_bitwise(case):
-    cfg = dataclasses.replace(parse_config(MINIMAL), **SIMULATE_CASES[case])
+    cfg = dataclasses.replace(parse_config(MINIMAL), **SIMULATE_CASES[case], boxdim=True,
+                              delta_ladder=(0.5, 0.25, 0.125, 0.0625), kappa=4.0)
     check_config(cfg)
     path = sample_ensemble(cfg.ensemble(), cfg.time_grid(), cfg.seed, 0)
     values = spectral_path(path, cfg.spectral_kind).values
     want = pattern_gap_values(values, cfg.collision_pattern())
-    summary, gaps = simulate(cfg)
-    assert np.array_equal(_bits(gaps), _bits(want))
+    summary, boxes = simulate(cfg)
+    holder = max(cfg.hurst_vector().as_floats())
+    ref = box_count_dimension(want, cfg.time_grid(), cfg.delta_ladder, holder, cfg.kappa)
+    assert boxes.counts() == ref.counts and any(ref.counts)
+    assert boxes.thresholds == ref.thresholds
+    assert simulate(dataclasses.replace(cfg, boxdim=False)) == (summary, None)
     assert summary["path_index"] == 0
     for key, value in (
         ("spectrum_min", values.min()),
