@@ -16,8 +16,9 @@ is a run flag next to `report --from DIR`, which re-prints a finished run.
 `harness.simulate`, one streamed pass over path 0 that also counts its
 boxes when the config asks for them; `boxdim` counts boxes on the same
 path 0 in the same way.
-`simulate --dump-field` writes one scalar-field draw of the config's
-kernel and grid as CSV.
+`simulate --dump-field` writes, as CSV, the raw draw of matrix entry
+(0, 0) of path 0 (before the sqrt(2) of the diagonal), block by block
+through the path kernel's walk, so its memory is the walk's.
 EIGENCOLLIDE_THREADS sets the thread count of the subcommands with
 --threads where neither the config nor --threads does.
 """
@@ -36,9 +37,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .estimate import box_dim, collision_prob
-from .gfield import KernelSpec, sample_sheet, verify_assumptions
+from .estimate import _block_rows, box_dim, collision_prob
+from .gfield import KernelSpec, verify_assumptions
 from .harness import ConfigError, ExperimentConfig, check_config, parse_config, run, simulate
+from .matfield import _PART_REAL, _row_draws
 from .sde import dyson_paths, wishart_paths
 from .theory import CollisionPattern, HurstVector, SpectralKind, dichotomy
 
@@ -99,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurst", help="comma-separated rationals, e.g. 1/2,1/2")
 
     p = sub("simulate", "draw one path, print spectral summary", "--config --seed --json")
-    p.add_argument("--dump-field", help="write one scalar-field draw as CSV")
+    p.add_argument("--dump-field", help="write path 0's raw draw of entry (0, 0) as CSV")
 
     p = sub("collide-prob", "Monte Carlo collision probability",
             "--config --seed --threads --json")
@@ -309,14 +311,16 @@ def _sde(args) -> int:
 
 
 def _dump_field_csv(cfg: ExperimentConfig, path: str) -> None:
-    """One scalar-field draw as CSV: grid coordinates then the value."""
+    """Path 0's raw draw of entry (0, 0) as CSV, grid coordinates then the
+    value, written a block of the path kernel's rows at a time."""
     grid = cfg.time_grid()
-    sample = sample_sheet(KernelSpec(cfg.hurst_vector()), grid, cfg.seed, key=(0,))
-    header = ",".join("t%d" % (j + 1) for j in range(grid.ndim)) + ",value"
-    lines = [header]
-    for coords, value in zip(grid.points(), sample.values.ravel()):
-        lines.append(",".join("%.12g" % c for c in coords) + ",%.12g" % value)
-    Path(path).write_text("\n".join(lines) + "\n")
+    axes = grid.axes()
+    with open(path, "w") as out:
+        out.write(",".join("t%d" % (j + 1) for j in range(grid.ndim)) + ",value\n")
+        for start, shape, draw in _row_draws(cfg.ensemble(), grid, cfg.seed, 0, _block_rows(grid)):
+            mesh = np.meshgrid(axes[0][start : start + shape[0]], *axes[1:], indexing="ij")
+            points = zip(*(m.ravel() for m in mesh), draw(0, 0, _PART_REAL).ravel())
+            out.writelines(",".join("%.12g" % v for v in point) + "\n" for point in points)
 
 
 def _validate_field(args) -> int:

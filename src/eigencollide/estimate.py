@@ -21,8 +21,8 @@ again as one of its paths; threading it through would add a parameter
 to save 1/paths of the work.
 
 `_path_rows`, the one path kernel, walks a path in blocks of about
-`_BLOCK_POINTS` points (whole rows along axis 0; a 1-d grid is one block)
-and yields each block's spectrum extremes and pattern gaps.  Its one
+`_BLOCK_POINTS` points (whole rows along axis 0, on 1-d grids too) and
+yields each block's spectrum extremes and pattern gaps.  Its one
 consumer, `_path_pass`, keeps running reductions over the blocks: the
 spectrum min and max, the min gap and, when given a `_BoxCounts`, the
 occupied boxes of each delta.  No reader holds a grid-sized array per
@@ -37,7 +37,9 @@ singular values) takes the general route: each block's matrices
 block draws the next rows of the same entry streams (see `matfield`),
 and every later step acts point by point.  A sheet with a dense
 (H != 1/2) axis is drawn whole and then split into blocks, since a dense
-factor applied to a block would round differently.  Everything is
+factor applied to a block would round differently, and so is a 1-d
+grid's Davies-Harte draw; the walk's memory budget
+(`matfield._walk_problems`) counts the whole path then.  Everything is
 allocated per call, with no shared buffer, so worker threads cannot
 interfere.
 
@@ -208,8 +210,9 @@ def _check_matches(spec: EnsembleSpec, pattern: CollisionPattern, kind: Spectral
 
 
 def _block_rows(grid: TimeGrid) -> int:
-    """Rows per block of the path kernel: about `_BLOCK_POINTS` points
-    (`matfield._row_draws` draws a 1-d grid as one block whatever this is)."""
+    """Rows per block of the path kernel: about `_BLOCK_POINTS` points, a
+    row being one point on a 1-d grid.  Config validation asks the walk's
+    limits with these rows."""
     return max(1, _BLOCK_POINTS // math.prod(grid.shape[1:]))
 
 

@@ -17,13 +17,19 @@ Two exact samplers:
   and n_j otherwise, never (prod n_j)^3.
 * `_sheet_rows`, of which `sample_sheet` is the one-block case, yields a
   sheet draw in blocks of rows along axis 0 for the Monte Carlo path
-  kernel.  When every axis has H = 1/2, a block draws only its own rows
-  of normals and carries the last row of the axis-0 cumulative sum into
-  the next block, so memory follows the block, not the grid.  A sheet
-  with any dense (H != 1/2) axis is drawn whole and then sliced: applying
-  a dense factor to a row block goes through BLAS, whose blocking, and so
-  its rounding, depends on the row count, and the draw would no longer be
-  the same bit for bit.
+  kernel.  When every axis has H = 1/2 (`_streams_by_rows`), a block
+  draws only its own rows of normals and carries the last row of the
+  axis-0 cumulative sum into the next block, so memory follows the block,
+  not the grid.  A sheet with any dense (H != 1/2) axis is drawn whole
+  and then sliced: applying a dense factor to a row block goes through
+  BLAS, whose blocking, and so its rounding, depends on the row count,
+  and the draw would no longer be the same bit for bit.
+
+`_sampler_problems` owns the size limits of both samplers: two points per
+axis, at most `_MAX_DENSE` points on an axis with a dense factor, and, for
+`sample_fbm_1d`, at most `_MAX_DENSE` points off a lattice through 0 (a
+lattice of more than `_MAX_POINTS` points counts as none).  The samplers
+raise its list before drawing, and config validation reports it.
 
 Sampling uses the splittable streams of `eigencollide.rng`; a fixed
 (seed, key) always reproduces the same values bit for bit.
@@ -262,14 +268,54 @@ def _fgn_draw(sqrt_eigs: np.ndarray, n_incr: int, rng: np.random.Generator) -> n
 
 def _lattice_presteps(grid: TimeGrid) -> int | None:
     """Number of lattice steps from 0 to the grid start, or None if the
-    grid is not commensurate with a lattice through the origin."""
+    grid is not commensurate with a lattice through the origin or that
+    lattice, from 0 to the grid end, has more than `_MAX_POINTS` points."""
     (a, b), n = grid.intervals[0], grid.shape[0]
     step = (b - a) / (n - 1)
     m = a / step
     m_int = round(m)
-    if abs(m - m_int) > 1e-9 * max(1.0, m):
+    if abs(m - m_int) > 1e-9 * max(1.0, m) or m_int + n > _MAX_POINTS:
         return None
     return m_int
+
+
+_TOO_FEW_POINTS = "resolution entries must be >= 2 (every sampler needs two points per axis)"
+
+
+def _sampler_problems(hurst: Sequence[float], grid: TimeGrid, circulant: bool) -> list[str]:
+    """What keeps a sampler from drawing a field with exponents `hurst` on
+    `grid`, in config vocabulary: `sample_fbm_1d` when `circulant`, else
+    `_sheet_rows`.  Both raise this list; config validation reports it."""
+    if any(n < 2 for n in grid.shape):
+        return [_TOO_FEW_POINTS]
+    if circulant:
+        n = grid.shape[0]
+        if n > _MAX_DENSE and _lattice_presteps(grid) is None:
+            return [
+                "a 1-d grid off the lattice through 0 takes the dense fallback, "
+                "at most %d points, got %d" % (_MAX_DENSE, n)
+            ]
+        return []
+    return [
+        "axis %d (H = %g) has %d points, too many for a dense per-axis "
+        "factorization (at most %d)" % (j, h, n, _MAX_DENSE)
+        for j, (n, h) in enumerate(zip(grid.shape, hurst))
+        if h != 0.5 and n > _MAX_DENSE
+    ]
+
+
+def _refuse_draw(problems: list[str]) -> None:
+    """Raise `_sampler_problems`: too few points as ValueError, a grid too
+    large for its method as FactorizationError."""
+    if problems:
+        error = ValueError if problems == [_TOO_FEW_POINTS] else FactorizationError
+        raise error("; ".join(problems))
+
+
+def _streams_by_rows(spec: KernelSpec) -> bool:
+    """Whether `_sheet_rows` draws each block's own rows only, which it
+    does when every axis has H = 1/2; otherwise it draws the sheet whole."""
+    return all(h == 0.5 for h in spec.hurst.as_floats())
 
 
 def _as_exponent(H) -> float:
@@ -280,17 +326,17 @@ def sample_fbm_1d(H, grid: TimeGrid, seed: int, key: tuple[int, ...] = ()) -> Fi
     """Exact fractional Brownian motion draw on a 1-d grid.
 
     Uses Davies-Harte on the lattice through 0 when the grid is
-    commensurate with one, otherwise (or when the embedding fails) a dense
-    Cholesky factor of the path covariance.
+    commensurate with one of at most `_MAX_POINTS` points, otherwise (or
+    when the embedding fails) a dense Cholesky factor of the path
+    covariance, refused over `_MAX_DENSE` points.
     """
     h = _as_exponent(H)
     if not 0 < h < 1:
         raise ValueError("Hurst exponent must lie in (0, 1)")
     if grid.ndim != 1:
         raise ValueError("sample_fbm_1d needs a 1-d grid")
+    _refuse_draw(_sampler_problems((h,), grid, circulant=True))
     n = grid.shape[0]
-    if n < 2:
-        raise ValueError("need at least two grid points")
     rng = substream(seed, DOMAIN_FIELD, *key)
     (a, b) = grid.intervals[0]
     step = (b - a) / (n - 1)
@@ -340,14 +386,11 @@ def _sheet_rows(
     """
     if grid.ndim != spec.ndim:
         raise ValueError("grid and kernel dimension mismatch")
-    if any(n < 2 for n in grid.shape):
-        raise ValueError("need at least two points per axis")
     hurst = spec.hurst.as_floats()
-    if any(n > _MAX_DENSE for n, h in zip(grid.shape, hurst) if h != 0.5):
-        raise FactorizationError("axis too large for dense per-axis factorization")
+    _refuse_draw(_sampler_problems(hurst, grid, circulant=False))
     rng = substream(seed, DOMAIN_FIELD, *key)
     n0 = grid.shape[0]
-    step = rows if all(h == 0.5 for h in hurst) else n0
+    step = rows if _streams_by_rows(spec) else n0
     for start in range(0, n0, step):
         values = rng.standard_normal((min(step, n0 - start),) + grid.shape[1:])
         for j, h in enumerate(hurst):

@@ -40,6 +40,7 @@ import yaml
 from . import __version__
 from .estimate import (
     _anisotropy_problems,
+    _block_rows,
     _box_fit,
     _box_problems,
     _BoxCounts,
@@ -52,8 +53,8 @@ from .estimate import (
 )
 from .gfield import KernelSpec, TimeGrid
 # sample_ensemble, spectral_path, pattern_gap_values: unused, bound for the benchmark's tracer
-from .matfield import EnsembleSpec, _check_path_bytes, sample_ensemble  # noqa: F401
-from .spectra import pattern_gap_values, spectral_path  # noqa: F401
+from .matfield import EnsembleSpec, _walk_problems, sample_ensemble  # noqa: F401
+from .spectra import _dim_problems, pattern_gap_values, spectral_path  # noqa: F401
 from .theory import CollisionPattern, HurstVector, SpectralKind, dichotomy
 
 __all__ = [
@@ -238,7 +239,8 @@ _FIELD_TYPES = {
 def _validate(cfg: ExperimentConfig) -> list[str]:
     """Every violated invariant of `cfg`.  A rule the run enforces is asked
     of its owner (`EnsembleSpec`, `HurstVector`, `CollisionPattern`,
-    `TimeGrid`, the estimators), so the config reports the run's message."""
+    `TimeGrid`, the estimators, the walk over a path with the path
+    kernel's rows, the spectra), so the config reports the run's message."""
     out = [
         "%s must be %s, got %r" % (name, what, getattr(cfg, name))
         for name, (check, what) in _FIELD_TYPES.items()
@@ -264,8 +266,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append("resolution needs one entry per hurst exponent")
         if len(cfg.interval) != len(hv):
             out.append("interval needs one (a, b) pair per hurst exponent")
-    if any(n < 2 for n in cfg.resolution):
-        out.append("resolution entries must be >= 2 (every sampler needs two points per axis)")
     try:
         grid = cfg.time_grid()
     except ValueError as err:
@@ -286,11 +286,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             _check_matches(ensemble, pattern, cfg.spectral_kind)
         except ValueError as err:
             out.append(str(err))
-    if ensemble is not None and grid is not None:
-        try:
-            _check_path_bytes(ensemble, grid)
-        except ValueError as err:
-            out.append(str(err))
+    if ensemble is not None:
+        if grid is not None:
+            out += _walk_problems(ensemble, grid, _block_rows(grid))
+        out += _dim_problems(ensemble.dims[0])
     return out
 
 

@@ -20,12 +20,17 @@ The Monte Carlo path kernel `estimate._path_rows` takes each block of
 self-adjoint ensemble `_plane_entries` turns a block's draws into its
 diagonal (a, c) and modulus |b| of the off-diagonal entry, bitwise the
 values `assemble_selfadjoint` stores, and no matrix is built.  A block
-draws only its own rows when every axis of the sheet has H = 1/2 (see
-`gfield._sheet_rows`); a sheet with a dense axis is drawn whole per entry
-and sliced, and a 1-d grid is always one block.
+draws only its own rows on a sheet whose axes all have H = 1/2
+(`gfield._streams_by_rows`); a sheet with a dense axis, and a 1-d grid
+(Davies-Harte), is drawn whole per entry and sliced.
 
-A matrix path over `_MAX_PATH_BYTES` (1 GiB) is refused by `assemble_*`
-before anything is drawn, and by config validation.
+`_walk_problems` owns the limits of a walk: its sampler's
+(`gfield._sampler_problems`) and the memory budget of `_MAX_PATH_BYTES`
+(1 GiB) of matrices held at once, which is one block when the draws
+stream by rows and the whole path otherwise.  `_row_draws` raises the
+budget before its first draw, so `assemble_*`, one block of the whole
+grid, refuse a path over it; config validation asks with the rows of the
+path kernel.
 
 Storage: complex128 (interleaved real/imag) only when beta = 2; the real
 case stays float64 and never allocates an imaginary plane.
@@ -33,12 +38,14 @@ case stays float64 and never allocates an imaginary plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gfield import KernelSpec, TimeGrid, _sampler_problems, _sheet_rows, _streams_by_rows
 # sample_sheet: unused, bound for the benchmark's tracer
-from .gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d, sample_sheet  # noqa: F401
+from .gfield import sample_fbm_1d, sample_sheet  # noqa: F401
 
 __all__ = [
     "EnsembleSpec",
@@ -51,8 +58,8 @@ __all__ = [
 _PART_REAL = 0
 _PART_IMAG = 1
 _INVERTIBILITY_RTOL = 1e-10
-# largest matrix path (grid points x d1 x d2 x itemsize) `assemble_*` build
-# and a config may ask for; its spectra and temporaries take a few times more
+# most bytes of matrices (points x d1 x d2 x itemsize) a walk over a path
+# holds at once; its spectra and temporaries take a few times more
 _MAX_PATH_BYTES = 1 << 30
 
 
@@ -147,48 +154,66 @@ def _entry_key(spec: EnsembleSpec, path_index: int, i: int, j: int, part: int) -
     return (path_index, i * spec.dims[1] + j, part)
 
 
+def _budget_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]:
+    """The matrices a walk in blocks of `rows` rows holds at once, if over
+    `_MAX_PATH_BYTES`: one block on a sheet that streams by rows, else the
+    whole path, since its entry draws are whole."""
+    n0 = grid.shape[0]
+    if grid.ndim > 1 and _streams_by_rows(spec.kernel):
+        n0 = min(rows, n0)
+    d1, d2 = spec.dims
+    nbytes = n0 * math.prod(grid.shape[1:]) * d1 * d2 * np.dtype(spec.dtype).itemsize
+    if nbytes <= _MAX_PATH_BYTES:
+        return []
+    return ["the matrices a path walk holds at once take %d bytes, over the budget of %d bytes"
+            % (nbytes, _MAX_PATH_BYTES)]
+
+
+def _walk_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]:
+    """What refuses a walk over a path of `spec` on `grid` in blocks of
+    `rows` rows, in config vocabulary: the limits of its sampler
+    (`sample_fbm_1d` on a 1-d grid, `_sheet_rows` on a sheet), which that
+    sampler raises, and the memory budget, which `_row_draws` raises.
+    Config validation reports this list."""
+    hurst = spec.kernel.hurst.as_floats()
+    return _sampler_problems(hurst, grid, grid.ndim == 1) + _budget_problems(spec, grid, rows)
+
+
 def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
     """Yield (first row, block shape, draw) for each block of `rows` rows
-    along axis 0 of Monte Carlo path `path_index`.
+    along axis 0 of Monte Carlo path `path_index`, after refusing, before
+    the first draw, a walk over the memory budget.
 
     `draw(i, j, part)` returns the block of the scalar field at entry
     (i, j) and must be called once per block for each entry the caller
-    uses.  Each entry is one stream.  A 1-d grid is one block, whatever
-    `rows` is, drawn by the circulant fBm sampler, which is much cheaper
-    than the dense axis factor on long axes (same law).  On a sheet the
-    stream is `_sheet_rows`, so joined blocks are the same values whatever
-    `rows` is; it is dropped after its last block, since a suspended
-    generator keeps its whole draw alive.
+    uses.  Each entry is one stream, so joined blocks are the same values
+    whatever `rows` is: on a 1-d grid the circulant fBm draw, which is
+    much cheaper than the dense axis factor on long axes (same law), cut
+    into blocks; on a sheet `_sheet_rows`.  A stream is dropped after its
+    last block, since a suspended generator keeps its whole draw alive.
     """
+    problems = _budget_problems(spec, grid, rows)
+    if problems:
+        raise ValueError("; ".join(problems))
     n0 = grid.shape[0]
-    if grid.ndim == 1:
-        rows = n0
     streams = {}
+
+    def stream(key):
+        if grid.ndim > 1:
+            return _sheet_rows(spec.kernel, grid, seed, key, rows)
+        values = sample_fbm_1d(float(spec.kernel.hurst[0]), grid, seed, key).values
+        return (values[row : row + rows] for row in range(0, n0, rows))
 
     def draw(i, j, part):
         key = _entry_key(spec, path_index, i, j, part)
-        if grid.ndim == 1:
-            return sample_fbm_1d(float(spec.kernel.hurst[0]), grid, seed, key).values
-        stream = streams.pop(key, None) or _sheet_rows(spec.kernel, grid, seed, key, rows)
-        block = next(stream)
+        entry = streams.pop(key, None) or stream(key)
+        block = next(entry)
         if start + rows < n0:
-            streams[key] = stream
+            streams[key] = entry
         return block
 
     for start in range(0, n0, rows):
         yield start, (min(rows, n0 - start),) + grid.shape[1:], draw
-
-
-def _check_path_bytes(spec: EnsembleSpec, grid: TimeGrid) -> None:
-    """Refuse, before anything is allocated, a matrix path of `spec` on
-    `grid` over `_MAX_PATH_BYTES`."""
-    d1, d2 = spec.dims
-    nbytes = grid.n_points * d1 * d2 * np.dtype(spec.dtype).itemsize
-    if nbytes > _MAX_PATH_BYTES:
-        raise ValueError(
-            "a matrix path takes %d bytes, over the budget of %d bytes"
-            % (nbytes, _MAX_PATH_BYTES)
-        )
 
 
 def _fill_selfadjoint(spec: EnsembleSpec, shape: tuple[int, ...], draw) -> np.ndarray:
@@ -240,7 +265,6 @@ def assemble_selfadjoint(
     """
     if not spec.is_square:
         raise ValueError("assemble_selfadjoint needs a square ensemble")
-    _check_path_bytes(spec, grid)
     _, shape, draw = next(_row_draws(spec, grid, seed, path_index, grid.shape[0]))
     return MatrixPath(grid=grid, values=_fill_selfadjoint(spec, shape, draw))
 
@@ -252,7 +276,6 @@ def assemble_rect(
     over `_MAX_PATH_BYTES` raises ValueError before anything is drawn."""
     if spec.is_square:
         raise ValueError("assemble_rect needs a rectangular ensemble")
-    _check_path_bytes(spec, grid)
     _, shape, draw = next(_row_draws(spec, grid, seed, path_index, grid.shape[0]))
     return MatrixPath(grid=grid, values=_fill_rect(spec, shape, draw))
 

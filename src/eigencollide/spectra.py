@@ -106,10 +106,18 @@ def _nonfinite(bad: np.ndarray) -> NumericalError:
     )
 
 
+def _dim_problems(rows: int) -> list[str]:
+    """The supported range of spectra of (..., rows, cols) matrices, which
+    `_batch` raises and config validation reports (rows = d, or d1 for
+    singular values)."""
+    return ["spectra are supported for d <= %d" % MAX_DIM] if rows > MAX_DIM else []
+
+
 def _batch(arr: np.ndarray, rows: int) -> np.ndarray:
     """Float64/complex128 form of (..., rows, cols) matrices, all finite."""
-    if rows > MAX_DIM:
-        raise ValueError("spectra are supported for d <= %d" % MAX_DIM)
+    problems = _dim_problems(rows)
+    if problems:
+        raise ValueError("; ".join(problems))
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     if not np.isfinite(arr).all():
         flat = arr.reshape((-1,) + arr.shape[-2:])

@@ -203,12 +203,13 @@ def test_plane_route_thread_count_cannot_matter():
 # -- row blocks ----------------------------------------------------------
 
 # grids of more than one block: rows that do not divide axis 0, a 3-d sheet,
-# and a sheet with a dense axis, which is drawn whole and then split
+# a sheet with a dense axis and a 1-d grid, both drawn whole and then split
 BLOCK_GRIDS = {
     "sheet-200x100": (["1/2", "1/2"], TimeGrid.unit([200, 100])),
     "sheet-97x331": (["1/2", "1/2"], TimeGrid([(1.0, 2.0), (0.5, 1.5)], [97, 331])),
     "sheet-40x30x20": (["1/2", "1/2", "1/2"], TimeGrid.unit([40, 30, 20])),
     "sheet-1/2-7/10": (["1/2", "7/10"], TimeGrid.unit([300, 60])),
+    "fbm-40000": (["3/10"], TimeGrid.unit([40000])),
 }
 
 
@@ -232,6 +233,13 @@ def test_streamed_path_bitwise_equals_whole_grid_route(case, shape, beta):
         assert gaps.shape == grid.shape
         for got, ref in zip((low, high, gaps), want):
             assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["plane", "general"])
+def test_one_d_grid_walks_in_blocks(shape):
+    spec, kind = ensemble(["3/10"], shape=shape), _kind(shape, 1)
+    rows = estimate._path_rows(spec, PAT2, kind, BLOCK_GRIDS["fbm-40000"][1], 21, 0)
+    assert [start for start, *_ in rows] == [0, 16384, 32768]
 
 
 def _nan_in_sheet_rows(point):

@@ -35,6 +35,18 @@ eps_ladder: [0.8, 0.4, 0.2]
 """
 
 
+# MINIMAL with another kind, shape, hurst, resolution or interval
+def _sized(kind="real-eigen", shape="[2]", hurst='["1/2", "1/2"]', resolution="[32, 32]",
+           interval=None):
+    text = (
+        MINIMAL.replace("kind: real-eigen", "kind: " + kind)
+        .replace("shape: [2]", "shape: " + shape)
+        .replace('hurst: ["1/2", "1/2"]', "hurst: " + hurst)
+        .replace("resolution: [32, 32]", "resolution: " + resolution)
+    )
+    return text if interval is None else text + "interval: %s\n" % interval
+
+
 def test_parse_minimal_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.interval == ((1.0, 2.0), (1.0, 2.0))  # documented default box
@@ -266,15 +278,6 @@ def test_run_boxdim_path0_numerical_failure_fails_estimate_3x3(tmp_path, monkeyp
     _assert_path0_failure(BOXED.replace("shape: [2]", "shape: [3]"), tmp_path)
 
 
-def test_run_boxdim_oversize_failure_fails_estimate(tmp_path):
-    text = BOXED.replace("shape: [2]", "shape: [65]").replace("resolution: [64]", "resolution: [2]")
-    message = "spectra are supported for d <= 64"
-    assert _stage_warnings(text, tmp_path) == [
-        "simulate failed: " + message,
-        "estimate failed: " + message,
-    ]
-
-
 def test_run_boxdim_strong_anisotropy_fails_estimate(tmp_path):
     text = BOXED.replace('hurst: ["1/2"]', 'hurst: ["1/4", "3/4"]').replace(
         "resolution: [64]", "resolution: [8, 8]"
@@ -402,6 +405,33 @@ def test_cli_simulate_dump_field(tmp_path, capsys):
     assert lines[0] == "t1,t2,value"
     assert len(lines) == 37
     assert lines[1].startswith("1,1,")  # the default box starts at (1, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Davies-Harte on 8192 points, more than a dense factor takes
+        _sized(hurst='["3/10"]', resolution="[8192]"),
+        # two blocks of 256 rows
+        _sized(resolution="[300, 64]"),
+    ],
+    ids=["1d-8192", "sheet-two-blocks"],
+)
+def test_cli_dump_field_writes_path_0_entry_0(tmp_path, capsys, text):
+    cfg = parse_config(text)
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(text)
+    dump = tmp_path / "field.csv"
+    assert cli(["simulate", "--config", str(cfg_file), "--dump-field", str(dump)]) == 0
+    grid = cfg.time_grid()
+    # the raw draw of entry (0, 0) of path 0, before the sqrt(2) of the diagonal
+    want = sample_ensemble(cfg.ensemble(), grid, cfg.seed, 0).values[..., 0, 0] / np.sqrt(2.0)
+    lines = dump.read_text().splitlines()
+    assert len(lines) == grid.n_points + 1
+    got = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+    assert np.allclose(got, want.ravel(), rtol=1e-11, atol=1e-12)
+    coords = np.array([[float(c) for c in line.split(",")[:-1]] for line in lines[1:]])
+    assert np.allclose(coords, grid.points(), rtol=1e-11, atol=0)
 
 
 def test_cli_simulate(tmp_path, capsys):
@@ -563,22 +593,13 @@ def test_cli_sde_bad_arguments_exit_2(flags, named, capsys):
     assert named in capsys.readouterr().err
 
 
-def test_cli_report_stage_failure_exits_nonzero(tmp_path, capsys):
-    # d = 65 passes config validation but exceeds the eigensolver's
-    # supported range, so simulate and estimate fail at run time; the
-    # record is still written, with the failures in warnings.
-    text = """
-kind: real-eigen
-shape: [65]
-pattern: [2]
-hurst: ["1/2"]
-resolution: [2]
-paths: 100
-seed: 1
-eps_ladder: [0.2, 0.1]
-"""
+def test_cli_report_stage_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
+    # a NaN in path 0's draw passes config validation but fails simulate
+    # and the box count at run time; the record is still written, with
+    # the failures in warnings.
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
     cfg_file = tmp_path / "cfg.yaml"
-    cfg_file.write_text(text)
+    cfg_file.write_text(BOXED)
     rc = cli(["report", "--config", str(cfg_file), "--out", str(tmp_path / "r"), "--json"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
@@ -720,30 +741,70 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "kind, shape, resolution, nbytes",
-    [
-        ("complex-eigen", "[3]", "[8192, 8192]", 2**26 * 9 * 16),
-        ("real-eigen", "[2]", "[8192, 4097]", 8192 * 4097 * 4 * 8),
-        ("real-singular", "[2, 3]", "[8192, 4096]", 8192 * 4096 * 6 * 8),
-    ],
-)
-def test_matrix_path_over_the_memory_budget_is_refused(
-    tmp_path, capsys, kind, shape, resolution, nbytes
-):
-    # validation only: neither parsing nor the refused command allocates a path
-    text = (
-        MINIMAL.replace("kind: real-eigen", "kind: " + kind)
-        .replace("shape: [2]", "shape: " + shape)
-        .replace("resolution: [32, 32]", "resolution: " + resolution)
-    )
-    named = "a matrix path takes %d bytes, over the budget of %d bytes" % (nbytes, 2**30)
-    with pytest.raises(ConfigError, match=named):
+def _assert_refused(tmp_path, capsys, text, named):
+    # validation only: neither parsing nor the refused command draws
+    with pytest.raises(ConfigError) as err:
         parse_config(text)
+    assert named in str(err.value)
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(text)
     assert cli(["simulate", "--config", str(cfg_file)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, nbytes",
+    [
+        # a dense axis: the entry draws, so the walk, hold the whole path
+        (_sized(hurst='["2/5", "1/2"]', resolution="[4096, 8193]"), 4096 * 8193 * 4 * 8),
+        # a 1-d grid: its Davies-Harte draw is whole
+        (_sized(hurst='["1/2"]', resolution="[33554433]"), 33554433 * 4 * 8),
+        # streamed by rows: one block of one row of 2^25 points
+        (_sized(shape="[3]", resolution="[2, 33554432]"), 2**25 * 9 * 8),
+    ],
+    ids=["dense-axis", "1d", "streamed-row"],
+)
+def test_matrix_path_over_the_memory_budget_is_refused(tmp_path, capsys, text, nbytes):
+    named = "holds at once take %d bytes, over the budget of %d bytes" % (nbytes, 2**30)
+    _assert_refused(tmp_path, capsys, text, named)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # all H = 1/2: the walk holds one block of 2^14 points, whatever the grid
+        _sized(kind="complex-eigen", shape="[3]", resolution="[8192, 8192]"),
+        _sized(resolution="[8192, 4097]"),
+        _sized(kind="real-singular", shape="[2, 3]", resolution="[8192, 4096]"),
+        # a dense axis: the whole path, exactly 2**30 bytes
+        _sized(hurst='["2/5", "1/2"]', resolution="[4096, 8192]"),
+    ],
+    ids=["streamed-3x3-complex", "streamed-2x2", "streamed-2x3", "dense-at-budget"],
+)
+def test_walk_within_the_memory_budget_is_accepted(text):
+    parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (_sized(hurst='["2/5", "1/2"]', resolution="[5000, 8]"),
+         "axis 0 (H = 0.4) has 5000 points, too many for a dense per-axis factorization"),
+        (_sized(hurst='["1/3"]', resolution="[5000]", interval="[[1.05, 2.0]]"),
+         "a 1-d grid off the lattice through 0 takes the dense fallback, at most 4096 points, "
+         "got 5000"),
+        # a lattice through 0 of 4.1e9 points counts as none (its Davies-Harte
+        # draw would take 30 GiB), and 4097 points are too many for the dense
+        # fallback; parsing comes first, so no draw is attempted
+        (_sized(hurst='["1/3"]', resolution="[4097]", interval="[[1000000.0, 1000001.0]]"),
+         "a 1-d grid off the lattice through 0 takes the dense fallback, at most 4096 points, "
+         "got 4097"),
+        (_sized(shape="[65]", resolution="[2, 2]"), "spectra are supported for d <= 64"),
+    ],
+    ids=["dense-axis", "off-lattice", "lattice-too-long", "d-65"],
+)
+def test_sampler_and_spectra_limits_are_refused_at_validation(tmp_path, capsys, text, named):
+    _assert_refused(tmp_path, capsys, text, named)
 
 
 def test_matrix_path_at_the_memory_budget_is_accepted():

@@ -215,7 +215,8 @@ def test_assemble_refuses_oversize_path_before_allocating(assemble, shape):
     grid = TimeGrid.unit([8192, 8192])  # 2x2 complex128 matrices: 4 GiB
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="a matrix path takes 4294967296 bytes, over the budget"):
+        # one block of the whole grid: the walk holds the whole path
+        with pytest.raises(ValueError, match="holds at once take 4294967296 bytes, over the budget"):
             assemble(spec, grid, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
