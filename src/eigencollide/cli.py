@@ -13,9 +13,10 @@ Subcommands, with the shared flags each one takes besides its own:
 A flag a subcommand does not declare is a usage error (exit 2), and so
 is a run flag next to `report --from DIR`, which re-prints a finished run.
 `simulate` and the simulate stage of `report` are one function,
-`harness.simulate`, one streamed pass over path 0 that also counts its
-boxes when the config asks for them; `boxdim` counts boxes on the same
-path 0 in the same way.
+`harness.simulate`, one streamed pass that summarizes path 0; `boxdim`
+and the box stage of `report` are one call, `estimate.box_dim`, another
+pass that box-counts the same path 0.  `validate-field` refuses a grid
+over the assumption scan's point cap with exit 2, before scanning.
 `simulate --dump-field` writes, as CSV, the raw draw of matrix entry
 (0, 0) of path 0 (before the sqrt(2) of the diagonal), block by block
 through the path kernel's walk, so its memory is the walk's.
@@ -38,7 +39,7 @@ import yaml
 
 from . import __version__
 from .estimate import _block_rows, box_dim, collision_prob
-from .gfield import KernelSpec, verify_assumptions
+from .gfield import KernelSpec, _scan_problems, verify_assumptions
 from .harness import ConfigError, ExperimentConfig, check_config, parse_config, run, simulate
 from .matfield import _PART_REAL, _row_draws
 from .sde import dyson_paths, wishart_paths
@@ -193,7 +194,7 @@ def _predict(args) -> int:
 
 def _simulate(args) -> int:
     cfg = _load_config(args)
-    payload, _ = simulate(cfg)
+    payload = simulate(cfg)
     payload["grid_points"] = int(np.prod(cfg.resolution))
     if args.dump_field:
         _dump_field_csv(cfg, args.dump_field)
@@ -325,7 +326,11 @@ def _dump_field_csv(cfg: ExperimentConfig, path: str) -> None:
 
 def _validate_field(args) -> int:
     cfg = _load_config(args)
-    payload = verify_assumptions(KernelSpec(cfg.hurst_vector()), cfg.time_grid()).to_json_dict()
+    grid = cfg.time_grid()
+    problems = _scan_problems(grid)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    payload = verify_assumptions(KernelSpec(cfg.hurst_vector()), grid).to_json_dict()
     human = "c1=%.6g c3=%s c4=%s over %d points (%s)" % (
         payload["c1"],
         payload["c3"],

@@ -14,18 +14,18 @@ H the largest (smoothest-direction) regularity exponent.  The field moves
 about delta^H across a box of side delta, so a fixed threshold would
 overestimate the dimension.  Box counting is a numerical proxy for the
 covering dimension; no capacity lower bound is attempted.  The path is
-Monte Carlo path 0: `harness.run` draws it once, in its simulate stage,
-which counts its boxes, and passes the counts to the slope fit and the
-estimate to `verdict_experiment`.  `collision_prob` still draws path 0
-again as one of its paths; threading it through would add a parameter
-to save 1/paths of the work.
+Monte Carlo path 0, which `harness.run` draws three times: its simulate
+stage summarizes it, its estimate stage calls `box_dim` (as the `boxdim`
+command does) and `collision_prob` draws it as one of its paths.  Sharing
+one draw would add a parameter or a second route to save 1/paths of the
+work.
 
 `_path_rows`, the one path kernel, walks a path in blocks of about
 `_BLOCK_POINTS` points (whole rows along axis 0, on 1-d grids too) and
-yields each block's spectrum extremes and pattern gaps.  Its one
-consumer, `_path_pass`, keeps running reductions over the blocks: the
-spectrum min and max, the min gap and, when given a `_BoxCounts`, the
-occupied boxes of each delta.  No reader holds a grid-sized array per
+yields each block's spectrum extremes and pattern gaps.  Its two
+consumers keep running reductions over the blocks: `_path_pass` the
+spectrum min and max and the min gap, `box_dim` the occupied boxes of
+each delta (`_BoxCounts`).  No reader holds a grid-sized array per
 path.  The kernel has two routes, chosen from the ensemble alone.  A
 plain 2x2 self-adjoint ensemble (shape (2,), no shift, no transform)
 takes the plane route: the entry draws go straight into the closed-form
@@ -245,16 +245,13 @@ def _path_rows(spec, pattern, kind, grid, seed, path_index):
         yield start, values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
 
 
-def _path_pass(spec, pattern, kind, grid, seed, path_index, boxes=None):
+def _path_pass(spec, pattern, kind, grid, seed, path_index):
     """(spectrum min, spectrum max, min pattern gap) of Monte Carlo path
-    `path_index`, reduced block by block over `_path_rows`; each block's
-    gaps are also added to `boxes` when one is given."""
+    `path_index`, reduced block by block over `_path_rows`."""
     # np.minimum, unlike min(), keeps a NaN wherever it sits
     low, high, gap = math.inf, -math.inf, math.inf
-    for start, lo, hi, gaps in _path_rows(spec, pattern, kind, grid, seed, path_index):
+    for _, lo, hi, gaps in _path_rows(spec, pattern, kind, grid, seed, path_index):
         low, high, gap = np.minimum(low, lo), np.maximum(high, hi), np.minimum(gap, gaps.min())
-        if boxes is not None:
-            boxes.add(start, gaps)
     return low, high, gap
 
 
@@ -426,20 +423,6 @@ def box_count_dimension(
     return _box_fit(boxes)
 
 
-def _anisotropy_problems(spec: EnsembleSpec) -> list[str]:
-    """H_N / H_1 > 2, which the isotropic boxes cannot follow."""
-    hs = spec.kernel.hurst.as_floats()
-    if max(hs) / min(hs) > 2.0:
-        return ["anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting"]
-    return []
-
-
-def _path_boxes(spec: EnsembleSpec, grid: TimeGrid, delta_ladder, kappa: float) -> _BoxCounts:
-    """Box counter for a path of `spec`; its threshold exponent is the
-    largest Hurst exponent."""
-    return _BoxCounts(grid, delta_ladder, max(spec.kernel.hurst.as_floats()), kappa)
-
-
 def box_dim(
     spec: EnsembleSpec,
     pattern: CollisionPattern,
@@ -450,7 +433,8 @@ def box_dim(
     kappa: float = 1.0,
 ) -> BoxDimEstimate:
     """Box-counting dimension of the collision-time set on Monte Carlo
-    path 0, the path `harness.run` summarizes in its simulate stage.
+    path 0, the path `harness.run` summarizes in its simulate stage.  The
+    threshold exponent is the largest Hurst exponent.
 
     Anisotropic exponent vectors with H_N / H_1 > 2 are refused: isotropic
     boxes would then need axis-specific scaling the estimator does not do.
@@ -459,9 +443,14 @@ def box_dim(
     """
     _check_matches(spec, pattern, kind)
     deltas = tuple(float(d) for d in delta_ladder)
-    _refuse(_anisotropy_problems(spec) + _box_problems(deltas, kappa))
-    boxes = _path_boxes(spec, grid, deltas, kappa)
-    _path_pass(spec, pattern, kind, grid, seed, 0, boxes)
+    hs = spec.kernel.hurst.as_floats()
+    problems = _box_problems(deltas, kappa)
+    if max(hs) / min(hs) > 2.0:
+        problems.insert(0, "anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting")
+    _refuse(problems)
+    boxes = _BoxCounts(grid, deltas, max(hs), kappa)
+    for start, _, _, gaps in _path_rows(spec, pattern, kind, grid, seed, 0):
+        boxes.add(start, gaps)
     return _box_fit(boxes)
 
 

@@ -447,6 +447,19 @@ class AssumptionReport:
         }
 
 
+def _scan_problems(grid: TimeGrid) -> list[str]:
+    """What keeps `verify_assumptions` from scanning `grid`, whose time is
+    quadratic in its points: more than `_MAX_DENSE` of them.  The scan
+    raises this list and the `validate-field` command refuses it before
+    scanning; config validation does not ask it, as it limits the command."""
+    if grid.n_points > _MAX_DENSE:
+        return [
+            "assumption scan is quadratic in time; %d points exceed its "
+            "%d-point cap, use a smaller grid" % (grid.n_points, _MAX_DENSE)
+        ]
+    return []
+
+
 def verify_assumptions(spec: KernelSpec, grid: TimeGrid) -> AssumptionReport:
     """Scan all grid pairs for the nondegeneracy/nondeterminism constants.
 
@@ -456,13 +469,11 @@ def verify_assumptions(spec: KernelSpec, grid: TimeGrid) -> AssumptionReport:
     bounded: at the 4096-point cap on a 2-d grid the scan peaks at about
     64 MB resident (23 MB traced by tracemalloc) and takes 2.9 s, where
     holding every pair array at once took 1.2 GB (3.9 s), measured on a
-    2-core x86-64 host.  Larger grids are refused.
+    2-core x86-64 host.  Larger grids are refused (`_scan_problems`).
     """
-    if grid.n_points > _MAX_DENSE:
-        raise ValueError(
-            "assumption scan is quadratic in time; %d points exceed its "
-            "%d-point cap, use a smaller grid" % (grid.n_points, _MAX_DENSE)
-        )
+    problems = _scan_problems(grid)
+    if problems:
+        raise ValueError("; ".join(problems))
     if grid.ndim != spec.ndim:
         raise ValueError("grid and kernel dimension mismatch")
     n = grid.n_points

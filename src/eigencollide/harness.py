@@ -16,11 +16,11 @@ under the configured directory:
     hits.csv      per-epsilon hit fractions
     boxes.csv     per-delta box counts (when box counting is requested)
 
-`simulate` draws Monte Carlo path 0 once, in one pass of the estimators'
-path kernel: its summary is the simulate stage's output (and the
-`simulate` command's), and, when box counting is requested, the same pass
-counts its boxes, which the estimate stage only fits.  The Monte Carlo
-estimate draws path 0 again as one of its paths.
+`simulate` summarizes Monte Carlo path 0 in one pass of the estimators'
+path kernel: the simulate stage's output and the `simulate` command's.
+The estimate stage draws path 0 again, in `box_dim` when box counting is
+requested (the `boxdim` command's call) and as one of the Monte Carlo
+estimate's paths.
 
 Rationals are rendered as exact "p/q" strings in all JSON output.
 """
@@ -39,21 +39,18 @@ import yaml
 
 from . import __version__
 from .estimate import (
-    _anisotropy_problems,
     _block_rows,
-    _box_fit,
     _box_problems,
-    _BoxCounts,
     _check_matches,
     _mc_problems,
-    _path_boxes,
     _path_pass,
-    _refuse,
+    box_dim,
     verdict_experiment,
 )
 from .gfield import KernelSpec, TimeGrid
 # sample_ensemble, spectral_path, pattern_gap_values: unused, bound for the benchmark's tracer
 from .matfield import EnsembleSpec, _walk_problems, sample_ensemble  # noqa: F401
+from .rng import _seed_problems
 from .spectra import _dim_problems, pattern_gap_values, spectral_path  # noqa: F401
 from .theory import CollisionPattern, HurstVector, SpectralKind, dichotomy
 
@@ -240,7 +237,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     """Every violated invariant of `cfg`.  A rule the run enforces is asked
     of its owner (`EnsembleSpec`, `HurstVector`, `CollisionPattern`,
     `TimeGrid`, the estimators, the walk over a path with the path
-    kernel's rows, the spectra), so the config reports the run's message."""
+    kernel's rows, the spectra, the random streams), so the config reports
+    the run's message."""
     out = [
         "%s must be %s, got %r" % (name, what, getattr(cfg, name))
         for name, (check, what) in _FIELD_TYPES.items()
@@ -272,8 +270,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         out.append("grid: %s" % err)
     out += _mc_problems(cfg.eps_ladder, cfg.paths, cfg.threads)
     out += _box_problems(cfg.delta_ladder, cfg.kappa)
-    if not 0 <= cfg.seed < 2**64:
-        out.append("seed must be a 64-bit unsigned integer")
+    out += _seed_problems(cfg.seed)
     if cfg.boxdim and not cfg.delta_ladder:
         out.append("boxdim requested but delta_ladder is empty")
     if hv is not None:
@@ -339,21 +336,17 @@ class RunRecord:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def simulate(cfg: ExperimentConfig) -> tuple[dict, _BoxCounts | None]:
-    """Monte Carlo path 0 of `cfg`, in one pass of the estimators' path
-    kernel: its spectral summary and, when `cfg.boxdim` is set, its box
-    counts over `cfg.delta_ladder`."""
-    spec, grid = cfg.ensemble(), cfg.time_grid()
-    boxes = _path_boxes(spec, grid, cfg.delta_ladder, cfg.kappa) if cfg.boxdim else None
-    low, high, gap = _path_pass(spec, cfg.collision_pattern(), cfg.spectral_kind, grid,
-                                cfg.seed, 0, boxes)
-    summary = {
+def simulate(cfg: ExperimentConfig) -> dict:
+    """Spectral summary of Monte Carlo path 0 of `cfg`, in one pass of the
+    estimators' path kernel."""
+    low, high, gap = _path_pass(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind,
+                                cfg.time_grid(), cfg.seed, 0)
+    return {
         "path_index": 0,
         "spectrum_min": float(low),
         "spectrum_max": float(high),
         "min_pattern_gap": float(gap),
     }
-    return summary, boxes
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
@@ -384,11 +377,9 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    boxes = simulate_error = None
     try:
-        outputs["simulate"], boxes = simulate(cfg)
+        outputs["simulate"] = simulate(cfg)
     except Exception as err:  # record and continue: partial outputs survive
-        simulate_error = err
         fail("simulate", err)
     timings["simulate"] = time.perf_counter() - t0
 
@@ -396,10 +387,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     try:
         boxdim = None
         if cfg.boxdim:
-            _refuse(_anisotropy_problems(ensemble))
-            if boxes is None:  # the box count is path 0's
-                raise simulate_error
-            boxdim = _box_fit(boxes)
+            boxdim = box_dim(ensemble, pattern, kind, grid, cfg.seed, cfg.delta_ladder, cfg.kappa)
         report = verdict_experiment(
             ensemble,
             pattern,

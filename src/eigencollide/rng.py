@@ -20,10 +20,17 @@ DOMAIN_FIELD = 0
 DOMAIN_SDE = 1
 
 
+def _seed_problems(seed: int) -> list[str]:
+    """What is wrong with `seed` as an experiment seed; `substream` raises
+    it and config validation reports it."""
+    return [] if 0 <= seed < 2**64 else ["seed must be a 64-bit unsigned integer"]
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent, reproducible generator for (seed, key path)."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+    problems = _seed_problems(seed)
+    if problems:
+        raise ValueError("; ".join(problems))
     if any(k < 0 for k in key):
         raise ValueError("stream key components must be non-negative")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))

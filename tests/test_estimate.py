@@ -332,8 +332,8 @@ def test_box_count_equals_distinct_box_ids(grid, rows):
         assert boxes.counts() == want
 
 
-# tracemalloc peak of a box count on a plain 2x2 sheet, whatever the grid:
-# the streamed count measured 1.6 MiB at 1024^2, whose gap grid is 8 MiB
+# tracemalloc peak of a streamed pass over a plain 2x2 sheet, whatever the
+# grid: the box count measured 1.6 MiB at 1024^2, whose gap grid is 8 MiB
 _BOX_PEAK = 4 * 2**20
 
 
@@ -350,11 +350,10 @@ def test_box_dim_memory_does_not_follow_the_grid():
 
 
 @pytest.mark.parametrize("n", [256, 1024])
-def test_simulate_box_count_memory_does_not_follow_the_grid(n):
+def test_simulate_memory_does_not_follow_the_grid(n):
     cfg = ExperimentConfig(
         kind="real-eigen", shape=(2,), pattern=(2,), hurst=("1/2", "1/2"),
         resolution=(n, n), interval=((1.0, 2.0), (1.0, 2.0)),
-        delta_ladder=tuple(2.0**-k for k in range(1, 9)), boxdim=True,
     )
     tracemalloc.start()
     try:

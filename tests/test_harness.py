@@ -3,12 +3,13 @@
 import argparse
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eigencollide.cli import _build_parser, cli
-from eigencollide.estimate import box_count_dimension
+from eigencollide.estimate import box_count_dimension, box_dim
 from eigencollide.gfield import sample_fbm_1d
 from eigencollide.harness import (
     ConfigError,
@@ -238,8 +239,8 @@ def _nan_at_point_5(values):
 
 
 def _assert_path0_failure(text, tmp_path):
-    # The box count is path 0's, counted in the simulate stage, so a path 0
-    # the eigensolver rejects fails the estimate stage with the same message.
+    # The box count is path 0's, so a path 0 the eigensolver rejects fails
+    # the estimate stage's box count with the simulate stage's message.
     warnings = _stage_warnings(text, tmp_path)
     assert len(warnings) == 2
     message = warnings[0].removeprefix("simulate failed: ")
@@ -287,6 +288,29 @@ def test_run_boxdim_strong_anisotropy_fails_estimate(tmp_path):
     ]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# integer outputs of `run` on each shipped config, at its seed and grid with
+# 100 paths on one thread: Monte Carlo hits per eps, failed paths, and box
+# counts per delta when the config asks for them
+GOLDEN = {
+    "anisotropic_affine": ((91, 90, 87, 87), 0, None),
+    "brownian_sheet": ((55, 50, 47, 47), 0, (4, 7, 10, 19, 17, 19, 22)),
+    "dyson_bm": ((3, 0, 0), 0, None),
+    "rect_sheet_singular": ((94, 89, 84, 83), 0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
+def test_shipped_configs_keep_their_integer_outputs(name):
+    cfg = parse_config((CONFIGS / (name + ".yaml")).read_text())
+    record = run(dataclasses.replace(cfg, paths=100, threads=1))
+    assert not record.warnings
+    est = record.outputs["estimate"]
+    counts = est["boxdim"] and tuple(est["boxdim"]["counts"])
+    assert (tuple(est["mc"]["hits"]), est["mc"]["n_failed"], counts) == GOLDEN[name]
+
+
 # config overrides of MINIMAL (2x2 real on a 32x32 sheet)
 SIMULATE_CASES = {
     "2x2-beta1-1d": dict(hurst=("1/2",), resolution=(512,), interval=((1.0, 2.0),)),
@@ -312,12 +336,14 @@ def test_simulate_equals_the_reference_pipeline_bitwise(case):
     path = sample_ensemble(cfg.ensemble(), cfg.time_grid(), cfg.seed, 0)
     values = spectral_path(path, cfg.spectral_kind).values
     want = pattern_gap_values(values, cfg.collision_pattern())
-    summary, boxes = simulate(cfg)
+    summary = simulate(cfg)
     holder = max(cfg.hurst_vector().as_floats())
     ref = box_count_dimension(want, cfg.time_grid(), cfg.delta_ladder, holder, cfg.kappa)
-    assert boxes.counts() == ref.counts and any(ref.counts)
+    boxes = box_dim(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind, cfg.time_grid(),
+                    cfg.seed, cfg.delta_ladder, cfg.kappa)
+    assert boxes.counts == ref.counts and any(ref.counts)
     assert boxes.thresholds == ref.thresholds
-    assert simulate(dataclasses.replace(cfg, boxdim=False)) == (summary, None)
+    assert simulate(dataclasses.replace(cfg, boxdim=False)) == summary
     assert summary["path_index"] == 0
     for key, value in (
         ("spectrum_min", values.min()),
@@ -383,6 +409,23 @@ def test_cli_report_names_the_config_out_dir(tmp_path, capsys):
     assert cli(["report", "--config", str(cfg_file)]) == 0
     assert "written to %s" % out_dir in capsys.readouterr().out
     assert (out_dir / "record.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
+def test_cli_validate_field_refuses_grids_over_the_scan_cap(name, capsys):
+    # the cap limits the command, not the config, which run accepts
+    path = CONFIGS / (name + ".yaml")
+    n_points = parse_config(path.read_text()).time_grid().n_points
+    rc = cli(["validate-field", "--config", str(path)])
+    err = capsys.readouterr().err
+    if n_points <= 4096:
+        assert rc == 0 and not err
+    else:
+        assert rc == 2
+        assert err == (
+            "config error: assumption scan is quadratic in time; %d points exceed its "
+            "4096-point cap, use a smaller grid\n" % n_points
+        )
 
 
 def test_cli_validate_field(tmp_path, capsys):
@@ -495,6 +538,19 @@ def test_cli_report_prints_slope_and_warnings(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "boxdim: slope -0.5498" in lines
     assert lines[-1].startswith("warning: boxdim unreliable: ")
+
+
+def test_report_box_stage_equals_the_boxdim_command(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(SLOPED)
+    assert cli(["report", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert cli(["boxdim", "--config", str(cfg_file), "--json"]) == 0
+    est = json.loads(capsys.readouterr().out)
+    rows = (tmp_path / "run" / "boxes.csv").read_text().splitlines()[1:]
+    assert [int(row.rsplit(",", 1)[1]) for row in rows] == est["counts"] and any(est["counts"])
+    record = json.loads((tmp_path / "run" / "record.json").read_text())
+    assert record["outputs"]["estimate"]["boxdim"] == est
 
 
 def test_cli_report_from_without_record_exits_1(tmp_path, capsys):
