@@ -22,17 +22,19 @@ work.
 
 `_path_rows`, the one path kernel, walks a path in blocks of about
 `_BLOCK_POINTS` points (whole rows along axis 0, on 1-d grids too) and
-yields each block's spectrum extremes and pattern gaps.  Its two
-consumers keep running reductions over the blocks: `_path_pass` the
-spectrum min and max and the min gap, `box_dim` the occupied boxes of
-each delta (`_BoxCounts`).  No reader holds a grid-sized array per
-path.  The kernel has two routes, chosen from the ensemble alone.  A
+yields each block's spectrum extremes, pattern gaps and points solved.
+Its two consumers keep running reductions over the blocks: `_path_pass`
+the spectrum min and max, the min gap and the points solved, `box_dim`
+the occupied boxes of each delta (`_BoxCounts`).  No reader holds a
+grid-sized array per path.  The kernel has two routes, chosen from the ensemble alone.  A
 plain 2x2 self-adjoint ensemble (shape (2,), no shift, no transform)
 takes the plane route: the entry draws go straight into the closed-form
 spectrum, and the gap is hi - lo, with no matrix path, spectra array or
 gap DP.  Every other ensemble (d >= 3, a shift or transform, 2xn
-singular values) takes the general route: each block's matrices
-(`matfield._ensemble_rows`), their spectra, then `pattern_gap_values`.  Both routes are bitwise the whole-grid reference
+singular values) takes the general route: each block's raw matrices
+(`matfield._ensemble_rows`), checked finite at every point, mapped by
+`matfield._affine_values`, their spectra, then `pattern_gap_values`.
+Both routes are bitwise the whole-grid reference
 `pattern_gap_values(spectral_path(sample_ensemble(...)).values)`: each
 block draws the next rows of the same entry streams (see `matfield`),
 and every later step acts point by point.  A sheet with a dense
@@ -42,6 +44,31 @@ grid's Davies-Harte draw; the walk's memory budget
 (`matfield._walk_problems`) counts the whole path then.  Everything is
 allocated per call, with no shared buffer, so worker threads cannot
 interfere.
+
+`collision_prob` passes its eps ladder to the kernel, and the general
+route then solves a point only where it can still change the path's hit
+count of some rung (certified solve pruning).  A block solves its
+anchors, every `_ANCHOR_STRIDE` = 3rd point on every axis counted from
+its first row, and updates the path's running min gap m; with tau the
+largest rung below m (none: the block is done), a point B whose nearest
+anchor is A is solved only where
+
+    gap(A) - 2 |M_B - M_A|_F - slack <= tau   (or the bound is NaN),
+
+M being the mapped matrices.  Weyl's inequality |lambda_k(M_B) -
+lambda_k(M_A)| <= |M_B - M_A|_F (Mirsky's for singular values) and the
+pattern gap being 2-Lipschitz in the sorted spectrum make a skipped
+point's gap exceed tau, and every rung at or above m is already hit, so
+each rung's hit count is exact.  The per-path min gap `collision_prob`
+reduces is exact only up to the open rung: it may be any value that
+lies between the same two rungs.  The mapped difference is one GEMM of
+the raw differences (`_certificate`); the slack, `_SLACK` times the
+transforms' condition numbers times (1 + |shift|_F + max |lambda(A)|),
+is about 1e7 unit roundoffs above the rounding of the map, the solver
+and the gap DP.  Solved points are bitwise those of an unpruned walk,
+since every step after the fill acts on each matrix alone.  `box_dim`
+and `harness.simulate` pass no rungs and solve every point, and the
+plane route always does.
 
 Paths are independent across workers and the reduction is ordered by path
 index, so results are identical for any thread count.
@@ -56,12 +83,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfield import TimeGrid
-from .matfield import EnsembleSpec, _ensemble_rows, _plane_entries, _row_draws
+from .matfield import EnsembleSpec, _affine_values, _ensemble_rows, _plane_entries, _row_draws
 from .spectra import (
     NumericalError,
     _grid_coordinates,
+    _nonfinite,
     _plane_spectrum,
     _spectra,
+    _sqnorm,
     pattern_gap_values,
 )
 # sample_ensemble, spectral_path: unused, bound for the benchmark's tracer
@@ -89,6 +118,13 @@ _DROP_FINE = 1
 # set is a few hundred KB; a general-route block holds its matrices too
 # (2^14 points x 9 x 8 B, about 1.2 MB, for 3x3 real) before spectra
 _BLOCK_POINTS = 1 << 14
+# the pruned general route solves every third point on every axis, counted
+# from the block's first row, before any other
+_ANCHOR_STRIDE = 3
+# rounding slack of the pruning certificate, relative to kappa times the
+# anchor's scale; about 1e7 unit roundoffs, far above the backward error
+# of the map, the solver and the gap DP
+_SLACK = 1e-9
 
 
 def _finite_positive(v) -> bool:
@@ -152,6 +188,10 @@ class CollisionProbEstimate:
     n_paths: int
     n_failed: int
     seed: int
+    # matrices solved and grid points walked over the paths that did not
+    # fail; run diagnostics, kept out of to_json_dict
+    points_solved: int = 0
+    grid_points: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,10 +256,103 @@ def _block_rows(grid: TimeGrid) -> int:
     return max(1, _BLOCK_POINTS // math.prod(grid.shape[1:]))
 
 
-def _path_rows(spec, pattern, kind, grid, seed, path_index):
-    """Yield (first row, spectrum min, spectrum max, pattern gaps) for each
-    block of `_block_rows(grid)` rows along axis 0 of Monte Carlo path
-    `path_index`.
+def _anchor_index(n: int) -> np.ndarray:
+    """For each point of an axis of `n` points, the index of its nearest
+    anchor among the anchors 0, 3, 6, ...; points past the last anchor
+    take the last."""
+    return np.minimum((np.arange(n) + 1) // _ANCHOR_STRIDE, (n - 1) // _ANCHOR_STRIDE)
+
+
+def _certificate(spec: EnsembleSpec):
+    """(lift, kappa, |shift|_F) of the pruned general route's certificate.
+
+    The mapped difference of two raw matrices, T (X_B - X_A) T* (square)
+    or T (X_B - X_A) Ttilde (rectangular), is row-major `vec(X_B - X_A) @
+    lift` with lift = kron(T, conj T)^T or kron(T, Ttilde^T)^T, one GEMM
+    for a whole block; lift is None with no transform, where the raw
+    difference is the mapped one.  The shift cancels, and the square
+    map's symmetrization does not increase the Frobenius norm.  Rounding
+    in the map can grow with kappa, the product of the factors'
+    condition numbers, and with the shift's norm, so the slack scales
+    with both."""
+    t, right = spec.transform, spec.transform_right
+    if spec.is_square and t is not None:
+        right = np.conj(t.T)
+    shift_norm = 0.0 if spec.shift is None else float(np.linalg.norm(spec.shift))
+    if t is None and right is None:
+        return None, 1.0, shift_norm
+    d1, d2 = spec.dims
+    t = np.eye(d1) if t is None else t
+    right = np.eye(d2) if right is None else right
+    kappa = float(np.linalg.cond(t) * np.linalg.cond(right))
+    return np.kron(t, right.T).T, kappa, shift_norm
+
+
+def _solve(matrices, at, spec, pattern, kind):
+    """(spectra, pattern gaps) of the flat raw matrices `matrices[at]`
+    mapped by `_affine_values`.  A `NumericalError` names flat block
+    indices."""
+    try:
+        values = _spectra(_affine_values(matrices[at], spec), kind)
+    except NumericalError as err:
+        where = np.arange(len(matrices))[at][list(err.batch_indices)]
+        raise NumericalError(str(err), batch_indices=where) from None
+    return values, pattern_gap_values(values, pattern)
+
+
+def _block_gaps(matrices, shape, spec, pattern, kind, open_rungs, certificate):
+    """(flat pattern gaps, spectra solved) of one general-route block of
+    flat, finite raw `matrices` shaped `shape` on the grid.
+
+    With no certificate every point is solved.  Otherwise only the
+    anchors, every `_ANCHOR_STRIDE`-th point on every axis counted from
+    the block's first row, and then only the points the certificate
+    cannot clear: with A a point's nearest anchor, M the mapped matrices
+    and tau the largest of `open_rungs` (the rungs not yet hit, ascending)
+    below the running min and the anchors' gaps, B is cleared when
+    gap(A) - 2 |M_B - M_A|_F - slack > tau, so its gap exceeds tau by
+    Weyl's (Mirsky's) inequality.  Cleared points read +inf; with no
+    rung left open nothing is solved."""
+    if certificate is None:
+        values, gaps = _solve(matrices, slice(None), spec, pattern, kind)
+        return gaps, [values]
+    gaps = np.full(len(matrices), np.inf)
+    if not open_rungs:
+        return gaps, []
+    axes = [np.arange(0, n, _ANCHOR_STRIDE) for n in shape]
+    anchors = np.ravel_multi_index(np.ix_(*axes), shape).ravel()
+    values, anchor_gaps = _solve(matrices, anchors, spec, pattern, kind)
+    gaps[anchors] = anchor_gaps
+    below = [e for e in open_rungs if e < anchor_gaps.min()]
+    if not below:
+        return gaps, [values]
+    tau = below[-1]
+    lift, kappa, shift_norm = certificate
+    # each point's anchor matrix, then its difference from it, in place
+    nearest = np.ix_(*[_anchor_index(n) for n in shape])
+    at_anchor = matrices[anchors].reshape(tuple(map(len, axes)) + matrices.shape[1:])
+    diff = at_anchor[nearest].reshape(len(matrices), -1)
+    np.subtract(matrices.reshape(len(matrices), -1), diff, out=diff)
+    if lift is not None:
+        diff = diff @ lift
+    distance = np.sqrt(_sqnorm(diff))
+    del diff
+    scale = 1.0 + shift_norm + np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
+    floor = anchor_gaps - _SLACK * kappa * scale
+    # not (bound > tau): a NaN bound is solved, never cleared
+    solve = ~(floor.reshape(at_anchor.shape[:-2])[nearest].ravel() - 2.0 * distance > tau)
+    solve[anchors] = False
+    rest = np.flatnonzero(solve)
+    if not len(rest):
+        return gaps, [values]
+    rest_values, gaps[rest] = _solve(matrices, rest, spec, pattern, kind)
+    return gaps, [values, rest_values]
+
+
+def _path_rows(spec, pattern, kind, grid, seed, path_index, rungs=()):
+    """Yield (first row, spectrum min, spectrum max, pattern gaps, points
+    solved) for each block of `_block_rows(grid)` rows along axis 0 of
+    Monte Carlo path `path_index`.
 
     A plain 2x2 square ensemble (no shift, no transform) takes the plane
     route: its gap is hi - lo of the closed-form spectrum of the entry
@@ -227,8 +360,16 @@ def _path_rows(spec, pattern, kind, grid, seed, path_index):
     because (2,) is the only pattern with d = 2 and hi >= lo.  Spectra
     ascend along the last axis and min/max do not round, so the extremes
     of the first and last values are bitwise those of the whole spectra.
-    A `NumericalError` names the grid coordinates of the offending points
-    of the first block that has any.
+
+    The general route solves every point when `rungs` is empty.  Given
+    `rungs` (an eps ladder), it solves only what `_block_gaps` cannot
+    clear of the rungs still above the running min gap; a cleared point's
+    gap reads +inf and the extremes are those of the solved points, so
+    only the hit count of each rung is exact, not the min gap itself.
+    The plane route ignores `rungs`.  Raw matrices are checked finite at
+    every point before anything is solved.  A `NumericalError` names the
+    grid coordinates of the offending points of the first block that has
+    any.
     """
     rows = _block_rows(grid)
     if spec.shape == (2,) and spec.shift is None and spec.transform is None:
@@ -237,22 +378,38 @@ def _path_rows(spec, pattern, kind, grid, seed, path_index):
                 lo, hi = _plane_spectrum(*_plane_entries(draw, spec.beta))
             low, high = lo.min(), hi.max()
             hi -= lo
-            yield start, low, high, hi
+            yield start, low, high, hi, hi.size
         return
-    for start, matrices in _ensemble_rows(spec, grid, seed, path_index, rows):
+    certificate = _certificate(spec) if rungs else None
+    rungs = sorted(rungs)
+    gap = math.inf
+    for start, raw in _ensemble_rows(spec, grid, seed, path_index, rows):
+        shape = raw.shape[:-2]
+        matrices = raw.reshape((-1,) + raw.shape[-2:])
         with _grid_coordinates(grid, start):
-            values = _spectra(matrices, kind)
-        yield start, values[..., 0].min(), values[..., -1].max(), pattern_gap_values(values, pattern)
+            finite = np.isfinite(matrices).all(axis=(1, 2))
+            if not finite.all():
+                raise _nonfinite(~finite)
+            gaps, solved = _block_gaps(matrices, shape, spec, pattern, kind,
+                                       [e for e in rungs if e < gap], certificate)
+        gap = min(gap, gaps.min())
+        low = min((v[:, 0].min() for v in solved), default=math.inf)
+        high = max((v[:, -1].max() for v in solved), default=-math.inf)
+        del raw, matrices  # before the next block is filled
+        yield start, low, high, gaps.reshape(shape), sum(map(len, solved))
 
 
-def _path_pass(spec, pattern, kind, grid, seed, path_index):
-    """(spectrum min, spectrum max, min pattern gap) of Monte Carlo path
-    `path_index`, reduced block by block over `_path_rows`."""
+def _path_pass(spec, pattern, kind, grid, seed, path_index, rungs=()):
+    """(spectrum min, spectrum max, min pattern gap, points solved) of
+    Monte Carlo path `path_index`, reduced block by block over
+    `_path_rows` with the same `rungs`; with rungs, all but the hit count
+    of each rung are over the solved points only."""
     # np.minimum, unlike min(), keeps a NaN wherever it sits
-    low, high, gap = math.inf, -math.inf, math.inf
-    for _, lo, hi, gaps in _path_rows(spec, pattern, kind, grid, seed, path_index):
+    low, high, gap, solved = math.inf, -math.inf, math.inf, 0
+    for _, lo, hi, gaps, n in _path_rows(spec, pattern, kind, grid, seed, path_index, rungs):
         low, high, gap = np.minimum(low, lo), np.maximum(high, hi), np.minimum(gap, gaps.min())
-    return low, high, gap
+        solved += n
+    return low, high, gap, solved
 
 
 def collision_prob(
@@ -268,7 +425,10 @@ def collision_prob(
     """Hit fractions of {min gap <= eps} over `n_paths` independent paths.
 
     Paths on which the eigensolver fails are counted in `n_failed` and
-    excluded from the fractions, never silently dropped.  Results are a
+    excluded from the fractions, never silently dropped; a non-finite
+    matrix fails its path wherever it sits.  General-route paths solve
+    only the points that can change a hit count (module docstring), and
+    `points_solved` out of `grid_points` says how many.  Results are a
     function of (seed, config) only.  A `kind` or `pattern` that does not
     fit `spec` (beta, square vs rectangular, ambient dimension) raises
     ValueError, and so do the arguments `_mc_problems` names, all at once.
@@ -277,17 +437,19 @@ def collision_prob(
     eps = tuple(float(e) for e in eps_ladder)
     _refuse(_mc_problems(eps, n_paths, threads))
 
-    def one(p: int) -> float:
+    def one(p: int) -> tuple[float, int]:
         try:
-            return float(_path_pass(spec, pattern, kind, grid, seed, p)[2])
+            _, _, gap, solved = _path_pass(spec, pattern, kind, grid, seed, p, eps)
+            return float(gap), solved
         except NumericalError:
-            return math.nan
+            return math.nan, 0
 
     if threads == 1:
-        mins = np.array([one(p) for p in range(n_paths)])
+        results = [one(p) for p in range(n_paths)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            mins = np.array(list(pool.map(one, range(n_paths))))
+            results = list(pool.map(one, range(n_paths)))
+    mins = np.array([gap for gap, _ in results])
     ok = ~np.isnan(mins)
     n_ok = int(ok.sum())
     hits = tuple(int((mins[ok] <= e).sum()) for e in eps)
@@ -301,6 +463,8 @@ def collision_prob(
         n_paths=n_paths,
         n_failed=n_paths - n_ok,
         seed=seed,
+        points_solved=sum(solved for _, solved in results),
+        grid_points=n_ok * grid.n_points,
     )
 
 
@@ -449,7 +613,7 @@ def box_dim(
         problems.insert(0, "anisotropy H_N/H_1 > 2 is unsupported by isotropic box counting")
     _refuse(problems)
     boxes = _BoxCounts(grid, deltas, max(hs), kappa)
-    for start, _, _, gaps in _path_rows(spec, pattern, kind, grid, seed, 0):
+    for start, _, _, gaps, _ in _path_rows(spec, pattern, kind, grid, seed, 0):
         boxes.add(start, gaps)
     return _box_fit(boxes)
 

@@ -11,8 +11,10 @@ under the configured directory:
     record.json   scientific results; byte-identical across reruns and
                   thread counts for a fixed (config, seed)
     meta.json     timings, each failed stage's exception type and
-                  traceback, and timestamps, deliberately kept out of
-                  record.json so determinism is checkable byte for byte
+                  traceback, the Monte Carlo estimate's points solved
+                  and grid points walked, and timestamps, deliberately
+                  kept out of record.json so determinism is checkable
+                  byte for byte
     hits.csv      per-epsilon hit fractions
     boxes.csv     per-delta box counts (when box counting is requested)
 
@@ -325,6 +327,7 @@ class RunRecord:
     warnings: tuple[str, ...]
     timings: dict
     failures: dict  # stage -> exception type name and traceback (meta.json only)
+    counters: dict  # deterministic work counts of the estimate stage (meta.json only)
 
     def scientific_json(self) -> str:
         payload = {
@@ -339,8 +342,8 @@ class RunRecord:
 def simulate(cfg: ExperimentConfig) -> dict:
     """Spectral summary of Monte Carlo path 0 of `cfg`, in one pass of the
     estimators' path kernel."""
-    low, high, gap = _path_pass(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind,
-                                cfg.time_grid(), cfg.seed, 0)
+    low, high, gap, _ = _path_pass(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind,
+                                   cfg.time_grid(), cfg.seed, 0)
     return {
         "path_index": 0,
         "spectrum_min": float(low),
@@ -366,6 +369,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     warnings: list[str] = []
     timings: dict = {}
     failures: dict = {}
+    counters: dict = {}
 
     def fail(stage: str, err: Exception) -> None:
         warnings.append("%s failed: %s" % (stage, err))
@@ -400,6 +404,8 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
             threads=cfg.threads,
         )
         outputs["estimate"] = report.to_json_dict()
+        counters["points_solved"] = report.mc.points_solved
+        counters["grid_points"] = report.mc.grid_points
         if report.boxdim is not None and not report.boxdim.reliable:
             warnings.append("boxdim unreliable: %s" % "; ".join(report.boxdim.notes))
     except Exception as err:
@@ -413,6 +419,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
         warnings=tuple(warnings),
         timings=timings,
         failures=failures,
+        counters=counters,
     )
     target = out_dir or cfg.out_dir
     if target is not None:
@@ -425,7 +432,7 @@ def _persist(record: RunRecord, cfg: ExperimentConfig, out: Path) -> None:
     (out / "config.yaml").write_text(render_config(cfg))
     (out / "record.json").write_text(record.scientific_json() + "\n")
     meta = {"timings": record.timings, "failures": record.failures,
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+            "counters": record.counters, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     est = record.outputs.get("estimate")
     if est:

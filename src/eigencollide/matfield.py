@@ -16,7 +16,8 @@ One fill per class (`_fill_selfadjoint`, `_fill_rect`) turns a block's
 draws into matrices.
 
 The Monte Carlo path kernel `estimate._path_rows` takes each block of
-`sample_ensemble`'s matrices from `_ensemble_rows`; for a plain 2x2
+raw matrices from `_ensemble_rows` and maps the ones it solves with
+`_affine_values`; for a plain 2x2
 self-adjoint ensemble `_plane_entries` turns a block's draws into its
 diagonal (a, c) and modulus |b| of the off-diagonal entry, bitwise the
 values `assemble_selfadjoint` stores, and no matrix is built.  A block
@@ -341,10 +342,12 @@ def _plane_entries(draw, beta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _ensemble_rows(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
-    """Yield (first row, matrices) for each block of `rows` rows of
-    `sample_ensemble(spec, grid, seed, path_index)`, whose values they
-    equal bit for bit: the entries fill the matrices as in `assemble_*`,
-    and the affine map acts on each matrix alone."""
+    """Yield (first row, raw matrices) for each block of `rows` rows of
+    the raw field `assemble_*(spec, grid, seed, path_index)`, whose values
+    they equal bit for bit: the entries fill the matrices as in
+    `assemble_*`.  The affine map acts on each matrix alone, so
+    `_affine_values` of a block, or of any subset of its matrices, is
+    bitwise `sample_ensemble`'s values there."""
     fill = _fill_selfadjoint if spec.is_square else _fill_rect
     for start, shape, draw in _row_draws(spec, grid, seed, path_index, rows):
-        yield start, _affine_values(fill(spec, shape, draw), spec)
+        yield start, fill(spec, shape, draw)

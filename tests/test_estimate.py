@@ -138,7 +138,7 @@ def _joined_path(spec, kind, grid, seed, path_index):
     `_path_rows` blocks joined in row order."""
     low, high, gaps = math.inf, -math.inf, np.empty(grid.shape)
     end = 0
-    for start, lo, hi, block in estimate._path_rows(spec, PAT2, kind, grid, seed, path_index):
+    for start, lo, hi, block, _ in estimate._path_rows(spec, PAT2, kind, grid, seed, path_index):
         assert start == end
         low, high = np.minimum(low, lo), np.maximum(high, hi)
         end = start + len(block)
