@@ -39,11 +39,12 @@ Both routes are bitwise the whole-grid reference
 block draws the next rows of the same entry streams (see `matfield`),
 and every later step acts point by point.  A sheet with a dense
 (H != 1/2) axis is drawn whole and then split into blocks, since a dense
-factor applied to a block would round differently, and so is a 1-d
-grid's Davies-Harte draw; the walk's memory budget
-(`matfield._walk_problems`) counts the whole path then.  Everything is
-allocated per call, with no shared buffer, so worker threads cannot
-interfere.
+factor applied to a block would round differently, and so is a
+fractional 1-d grid's Davies-Harte draw; the walk's memory budget
+(`matfield._walk_problems`) counts the whole path then.  A grid whose
+axes all have H = 1/2, a 1-d Brownian motion included, draws each
+block's own rows.  Everything is allocated per call, with no shared
+buffer, so worker threads cannot interfere.
 
 `collision_prob` passes its eps ladder to the kernel, and the general
 route then solves a point only where it can still change the path's hit

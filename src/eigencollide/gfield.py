@@ -25,6 +25,14 @@ Two exact samplers:
   BLAS, whose blocking, and so its rounding, depends on the row count,
   and the draw would no longer be the same bit for bit.
 
+The matrix-field kernel draws a 1-d Brownian motion (H = 1/2) with
+`_sheet_rows` too, as a scaled cumulative sum of n normals from its grid
+start, and keeps `sample_fbm_1d` for fractional 1-d grids.  The two give
+the same law but different realizations of one stream: Davies-Harte on
+[1, 2] with 4096 points draws 16 380 normals for the lattice from 0, the
+cumulative sum 4096.  `sample_fbm_1d(0.5, ...)` keeps its Davies-Harte
+realization.
+
 `_sampler_problems` owns the size limits of both samplers: two points per
 axis, at most `_MAX_DENSE` points on an axis with a dense factor, and, for
 `sample_fbm_1d`, at most `_MAX_DENSE` points off a lattice through 0 (a
@@ -329,6 +337,11 @@ def sample_fbm_1d(H, grid: TimeGrid, seed: int, key: tuple[int, ...] = ()) -> Fi
     commensurate with one of at most `_MAX_POINTS` points, otherwise (or
     when the embedding fails) a dense Cholesky factor of the path
     covariance, refused over `_MAX_DENSE` points.
+
+    This holds at H = 1/2 too.  The matrix-field kernel draws its
+    H = 1/2 1-d entries by a scaled cumulative sum (`_sheet_rows`)
+    instead: the same law, a different realization of the same
+    (seed, key).
     """
     h = _as_exponent(H)
     if not 0 < h < 1:

@@ -21,9 +21,11 @@ raw matrices from `_ensemble_rows` and maps the ones it solves with
 self-adjoint ensemble `_plane_entries` turns a block's draws into its
 diagonal (a, c) and modulus |b| of the off-diagonal entry, bitwise the
 values `assemble_selfadjoint` stores, and no matrix is built.  A block
-draws only its own rows on a sheet whose axes all have H = 1/2
-(`gfield._streams_by_rows`); a sheet with a dense axis, and a 1-d grid
-(Davies-Harte), is drawn whole per entry and sliced.
+draws only its own rows on a grid whose axes all have H = 1/2
+(`gfield._streams_by_rows`), a 1-d Brownian motion included, which
+`gfield._sheet_rows` draws as a scaled cumulative sum; a sheet with a
+dense axis, and a fractional 1-d grid (Davies-Harte, `sample_fbm_1d`), is
+drawn whole per entry and sliced.
 
 `_walk_problems` owns the limits of a walk: its sampler's
 (`gfield._sampler_problems`) and the memory budget of `_MAX_PATH_BYTES`
@@ -157,10 +159,11 @@ def _entry_key(spec: EnsembleSpec, path_index: int, i: int, j: int, part: int) -
 
 def _budget_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]:
     """The matrices a walk in blocks of `rows` rows holds at once, if over
-    `_MAX_PATH_BYTES`: one block on a sheet that streams by rows, else the
-    whole path, since its entry draws are whole."""
+    `_MAX_PATH_BYTES`: one block on a grid that streams by rows (every
+    axis H = 1/2, on any number of axes), else the whole path, since its
+    entry draws are whole."""
     n0 = grid.shape[0]
-    if grid.ndim > 1 and _streams_by_rows(spec.kernel):
+    if _streams_by_rows(spec.kernel):
         n0 = min(rows, n0)
     d1, d2 = spec.dims
     nbytes = n0 * math.prod(grid.shape[1:]) * d1 * d2 * np.dtype(spec.dtype).itemsize
@@ -173,11 +176,18 @@ def _budget_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]
 def _walk_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]:
     """What refuses a walk over a path of `spec` on `grid` in blocks of
     `rows` rows, in config vocabulary: the limits of its sampler
-    (`sample_fbm_1d` on a 1-d grid, `_sheet_rows` on a sheet), which that
-    sampler raises, and the memory budget, which `_row_draws` raises.
-    Config validation reports this list."""
+    (`sample_fbm_1d` on a fractional 1-d grid, `_sheet_rows` otherwise),
+    which that sampler raises, and the memory budget, which `_row_draws`
+    raises.  Config validation reports this list."""
     hurst = spec.kernel.hurst.as_floats()
-    return _sampler_problems(hurst, grid, grid.ndim == 1) + _budget_problems(spec, grid, rows)
+    return (_sampler_problems(hurst, grid, _circulant(spec, grid))
+            + _budget_problems(spec, grid, rows))
+
+
+def _circulant(spec: EnsembleSpec, grid: TimeGrid) -> bool:
+    """Whether the entries are drawn whole by `sample_fbm_1d` (Davies-Harte):
+    on a 1-d grid that does not stream by rows, i.e. a fractional one."""
+    return grid.ndim == 1 and not _streams_by_rows(spec.kernel)
 
 
 def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
@@ -188,10 +198,13 @@ def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, r
     `draw(i, j, part)` returns the block of the scalar field at entry
     (i, j) and must be called once per block for each entry the caller
     uses.  Each entry is one stream, so joined blocks are the same values
-    whatever `rows` is: on a 1-d grid the circulant fBm draw, which is
-    much cheaper than the dense axis factor on long axes (same law), cut
-    into blocks; on a sheet `_sheet_rows`.  A stream is dropped after its
-    last block, since a suspended generator keeps its whole draw alive.
+    whatever `rows` is: `_sheet_rows` on any grid whose axes all have
+    H = 1/2 (a 1-d Brownian motion too: a scaled cumulative sum, each
+    block drawing only its own rows), and on a sheet with a dense axis;
+    on a fractional 1-d grid the circulant fBm draw, which is much cheaper
+    than the dense axis factor on long axes (same law), cut into blocks.
+    A stream is dropped after its last block, since a suspended generator
+    keeps its whole draw alive.
     """
     problems = _budget_problems(spec, grid, rows)
     if problems:
@@ -200,7 +213,7 @@ def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, r
     streams = {}
 
     def stream(key):
-        if grid.ndim > 1:
+        if not _circulant(spec, grid):
             return _sheet_rows(spec.kernel, grid, seed, key, rows)
         values = sample_fbm_1d(float(spec.kernel.hurst[0]), grid, seed, key).values
         return (values[row : row + rows] for row in range(0, n0, rows))

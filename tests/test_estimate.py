@@ -1,6 +1,7 @@
 """Estimator checks on synthetic sets and small Monte Carlo runs."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -65,9 +66,27 @@ def test_collision_prob_nested_and_deterministic():
     assert a.hits[0] >= a.hits[1] >= a.hits[2]  # nested events
 
 
+def _nan_in_sheet_rows(point, path_index=0):
+    """A `matfield._sheet_rows` whose draw of entry (0, 1) on path
+    `path_index` is NaN at grid point `point`; every other value is
+    unchanged."""
+
+    def planted(kernel, grid, seed, key, rows):
+        start = 0
+        for block in _sheet_rows(kernel, grid, seed, key, rows):
+            if key == (path_index, 1, 0) and start <= point[0] < start + len(block):
+                block = block.copy()
+                block[(point[0] - start,) + point[1:]] = np.nan
+            yield block
+            start += len(block)
+
+    return planted
+
+
 def _nan_at_point_3(path_index):
-    """A `matfield.sample_fbm_1d` whose draw of entry (0, 1) on path
-    `path_index` is NaN at grid point 3; every other draw is unchanged."""
+    """A `matfield.sample_fbm_1d` (the draw of fractional 1-d grids) whose
+    draw of entry (0, 1) on path `path_index` is NaN at grid point 3;
+    every other draw is unchanged."""
 
     def planted(H, grid, seed, key=()):
         sample = sample_fbm_1d(H, grid, seed, key)
@@ -83,7 +102,7 @@ def _nan_at_point_3(path_index):
 def test_collision_prob_counts_nan_path_as_failed(monkeypatch):
     # plain 2x2 paths take the plane route, which draws entries but no
     # matrix path, so the NaN is planted in the entry draw
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(7))
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((3,), 7))
     grid = TimeGrid.unit([8])
     est = collision_prob(ensemble(["1/2"]), PAT2, RE, grid, (1e9, 0.5), 100, 3)
     assert est.n_failed == 1
@@ -93,7 +112,7 @@ def test_collision_prob_counts_nan_path_as_failed(monkeypatch):
 
 def test_collision_prob_counts_nan_path_as_failed_3x3(monkeypatch):
     # the general route draws entries through the same sampler
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(7))
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((3,), 7))
     grid = TimeGrid.unit([8])
     spec, pattern = ensemble(["1/2"], shape=(3,)), CollisionPattern((2,), 3)
     est = collision_prob(spec, pattern, RE, grid, (1e9, 0.5), 100, 3)
@@ -103,8 +122,20 @@ def test_collision_prob_counts_nan_path_as_failed_3x3(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
+def test_collision_prob_counts_nan_davies_harte_path_as_failed(monkeypatch, d):
+    # a fractional 1-d grid draws its entries whole by Davies-Harte
+    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(7))
+    grid = TimeGrid.unit([8])
+    spec, pattern = ensemble(["3/10"], shape=(d,)), CollisionPattern((2,), d)
+    est = collision_prob(spec, pattern, RE, grid, (1e9, 0.5), 100, 3)
+    assert est.n_failed == 1
+    assert est.hits[0] == 99
+    assert est.fractions[0] == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
 def test_box_dim_nan_path_names_grid_coordinates(monkeypatch, d):
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(0))
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((3,)))
     named = r"non-finite entries in 1 matrices \(grid coordinates \[\(3,\)\]\)"
     with pytest.raises(NumericalError, match=named):
         box_dim(
@@ -168,20 +199,23 @@ def test_plane_route_gaps_bitwise_equal_general_route(case, beta):
 def test_plane_route_bitwise_on_ties(monkeypatch, beta):
     # point 3: xi_12 = 0; point 5: also xi_11 = xi_22, a collision with gap
     # exactly 0; point 7: |xi_12| equals |a - c| / 2, a tie of the two legs
-    def planted(H, grid, seed, key=()):
-        def diagonal(entry):  # sqrt(2) xi_ii, as assembled
-            return sample_fbm_1d(H, grid, seed, (key[0], entry, 0)).values * np.sqrt(2.0)
+    def planted(kernel, grid, seed, key, rows):
+        def whole(entry, part=0):  # an entry's draw over the whole grid
+            return next(_sheet_rows(kernel, grid, seed, (key[0], entry, part), grid.shape[0]))
 
-        sample = sample_fbm_1d(H, grid, seed, key)
-        values = sample.values.copy()
+        def diagonal(entry):  # sqrt(2) xi_ii, as assembled
+            return whole(entry) * np.sqrt(2.0)
+
+        values = whole(key[1], key[2])
         if key[1] == 1:  # xi_12 and eta_12
             values[[3, 5]] = 0.0
             values[7] = abs(0.5 * diagonal(0)[7] - 0.5 * diagonal(3)[7])
         elif key[1] == 3:  # xi_22
-            values[5] = sample_fbm_1d(H, grid, seed, (key[0], 0, 0)).values[5]
-        return dataclasses.replace(sample, values=values)
+            values[5] = whole(0)[5]
+        for row in range(0, len(values), rows):
+            yield values[row : row + rows]
 
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", planted)
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", planted)
     grid = TimeGrid.unit([16])
     spec = ensemble(["1/2"], beta=beta)
     for path_index in (0, 4):
@@ -203,13 +237,15 @@ def test_plane_route_thread_count_cannot_matter():
 # -- row blocks ----------------------------------------------------------
 
 # grids of more than one block: rows that do not divide axis 0, a 3-d sheet,
-# a sheet with a dense axis and a 1-d grid, both drawn whole and then split
+# a sheet with a dense axis and a fractional 1-d grid, both drawn whole and
+# then split, and a 1-d Brownian motion, which streams by rows
 BLOCK_GRIDS = {
     "sheet-200x100": (["1/2", "1/2"], TimeGrid.unit([200, 100])),
     "sheet-97x331": (["1/2", "1/2"], TimeGrid([(1.0, 2.0), (0.5, 1.5)], [97, 331])),
     "sheet-40x30x20": (["1/2", "1/2", "1/2"], TimeGrid.unit([40, 30, 20])),
     "sheet-1/2-7/10": (["1/2", "7/10"], TimeGrid.unit([300, 60])),
     "fbm-40000": (["3/10"], TimeGrid.unit([40000])),
+    "bm-40000": (["1/2"], TimeGrid.unit([40000])),
 }
 
 
@@ -242,22 +278,6 @@ def test_one_d_grid_walks_in_blocks(shape):
     assert [start for start, *_ in rows] == [0, 16384, 32768]
 
 
-def _nan_in_sheet_rows(point):
-    """A `matfield._sheet_rows` whose draw of entry (0, 1) on path 0 is NaN
-    at grid point `point`; every other value is unchanged."""
-
-    def planted(kernel, grid, seed, key, rows):
-        start = 0
-        for block in _sheet_rows(kernel, grid, seed, key, rows):
-            if key == (0, 1, 0) and start <= point[0] < start + len(block):
-                block = block.copy()
-                block[(point[0] - start,) + point[1:]] = np.nan
-            yield block
-            start += len(block)
-
-    return planted
-
-
 @pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
 def test_nan_in_a_later_block_names_its_grid_coordinates(monkeypatch, d):
     grid = TimeGrid.unit([600, 64])  # blocks of 256 rows: the NaN is in the third
@@ -282,6 +302,24 @@ def test_thread_count_cannot_matter_on_multi_block_grids(shape):
     # the running minimum over blocks is the whole grid's
     mins = [_joined_path(spec, kind, grid, 13, p)[2].min() for p in range(100)]
     assert a.hits == tuple(int(sum(m <= e for m in mins)) for e in ladder)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["plane", "general"])
+def test_thread_count_cannot_matter_on_a_streamed_1d_grid(shape):
+    # a 1-d Brownian motion in three blocks, each carrying the last value of
+    # the cumulative sum into the next; compared a few times over, since
+    # state shared between threads need not show on every run
+    grid = TimeGrid.unit([40000])
+    assert estimate._block_rows(grid) < grid.shape[0] // 2
+    spec, kind = ensemble(["1/2"], shape=shape), _kind(shape, 1)
+    ladder = (0.02, 0.005, 0.00125)
+    records = [
+        json.dumps(collision_prob(spec, PAT2, kind, grid, ladder, 100, 13,
+                                  threads=threads).to_json_dict())
+        for _ in range(3) for threads in (1, 2)
+    ]
+    assert len(set(records)) == 1
+    assert 0 < json.loads(records[0])["hits"][0] < 100
 
 
 def _box_count_reference(marked, grid, delta):

@@ -268,6 +268,9 @@ SHEET_ROW_CASES = {
     "bm-8x6x5": (("1/2", "1/2", "1/2"), [(1.0, 2.0)] * 3, [8, 6, 5]),
     "dense-1/2-7/10": (("1/2", "7/10"), [(1.0, 2.0)] * 2, [30, 20]),
     "dense-2/5-1/2": (("2/5", "1/2"), [(1.0, 2.0)] * 2, [30, 20]),
+    # a 1-d Brownian motion, on the lattice through 0 and off it
+    "bm-100": (("1/2",), [(1.0, 2.0)], [100]),
+    "bm-off-lattice-100": (("1/2",), [(1.05, 2.0)], [100]),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from eigencollide.cli import _build_parser, cli
 from eigencollide.estimate import box_count_dimension, box_dim
-from eigencollide.gfield import sample_fbm_1d
+from eigencollide.gfield import _sheet_rows
 from eigencollide.harness import (
     ConfigError,
     check_config,
@@ -259,23 +259,24 @@ def _assert_path0_failure(text, tmp_path):
     assert "Traceback" not in record and "NumericalError" not in record
 
 
-def _planted_fbm_1d(H, grid, seed, key=()):
+def _planted_sheet_rows(kernel, grid, seed, key, rows):
     # the draw of entry (0, 1) on path 0, NaN at grid point 5
-    sample = sample_fbm_1d(H, grid, seed, key)
-    if key[:2] != (0, 1):
-        return sample
-    return dataclasses.replace(sample, values=_nan_at_point_5(sample.values))
+    values = next(_sheet_rows(kernel, grid, seed, key, grid.shape[0]))
+    if key[:2] == (0, 1):
+        values = _nan_at_point_5(values)
+    for row in range(0, len(values), rows):
+        yield values[row : row + rows]
 
 
 def test_run_boxdim_path0_numerical_failure_fails_estimate(tmp_path, monkeypatch):
     # plain 2x2 paths take the plane route, which draws entries but no
     # matrix path, so the NaN is planted in the draw of entry (0, 1)
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _planted_sheet_rows)
     _assert_path0_failure(BOXED, tmp_path)
 
 
 def test_run_boxdim_path0_numerical_failure_fails_estimate_3x3(tmp_path, monkeypatch):
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _planted_sheet_rows)
     _assert_path0_failure(BOXED.replace("shape: [2]", "shape: [3]"), tmp_path)
 
 
@@ -296,7 +297,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = {
     "anisotropic_affine": ((91, 90, 87, 87), 0, None),
     "brownian_sheet": ((55, 50, 47, 47), 0, (4, 7, 10, 19, 17, 19, 22)),
-    "dyson_bm": ((3, 0, 0), 0, None),
+    "dyson_bm": ((5, 2, 0), 0, None),
     "rect_sheet_singular": ((94, 89, 84, 83), 0, None),
 }
 
@@ -502,7 +503,7 @@ def test_cli_collide_prob_overrides(tmp_path, capsys):
 
 
 def test_cli_collide_prob_names_failed_paths(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _planted_sheet_rows)
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(BOXED)
     assert cli(["collide-prob", "--config", str(cfg_file)]) == 0
@@ -653,7 +654,7 @@ def test_cli_report_stage_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
     # a NaN in path 0's draw passes config validation but fails simulate
     # and the box count at run time; the record is still written, with
     # the failures in warnings.
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _planted_fbm_1d)
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _planted_sheet_rows)
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(BOXED)
     rc = cli(["report", "--config", str(cfg_file), "--out", str(tmp_path / "r"), "--json"])
@@ -813,8 +814,9 @@ def _assert_refused(tmp_path, capsys, text, named):
     [
         # a dense axis: the entry draws, so the walk, hold the whole path
         (_sized(hurst='["2/5", "1/2"]', resolution="[4096, 8193]"), 4096 * 8193 * 4 * 8),
-        # a 1-d grid: its Davies-Harte draw is whole
-        (_sized(hurst='["1/2"]', resolution="[33554433]"), 33554433 * 4 * 8),
+        # a fractional 1-d grid: its Davies-Harte draw is whole
+        (_sized(hurst='["1/3"]', resolution="[33554433]", interval="[[0.5, 1.5]]"),
+         33554433 * 4 * 8),
         # streamed by rows: one block of one row of 2^25 points
         (_sized(shape="[3]", resolution="[2, 33554432]"), 2**25 * 9 * 8),
     ],
@@ -832,10 +834,15 @@ def test_matrix_path_over_the_memory_budget_is_refused(tmp_path, capsys, text, n
         _sized(kind="complex-eigen", shape="[3]", resolution="[8192, 8192]"),
         _sized(resolution="[8192, 4097]"),
         _sized(kind="real-singular", shape="[2, 3]", resolution="[8192, 4096]"),
+        # a 1-d Brownian motion streams by rows too: one block, on the
+        # lattice through 0 or off it (no dense fallback)
+        _sized(hurst='["1/2"]', resolution="[33554433]"),
+        _sized(hurst='["1/2"]', resolution="[5000]", interval="[[1.05, 2.0]]"),
         # a dense axis: the whole path, exactly 2**30 bytes
         _sized(hurst='["2/5", "1/2"]', resolution="[4096, 8192]"),
     ],
-    ids=["streamed-3x3-complex", "streamed-2x2", "streamed-2x3", "dense-at-budget"],
+    ids=["streamed-3x3-complex", "streamed-2x2", "streamed-2x3", "streamed-1d",
+         "streamed-1d-off-lattice", "dense-at-budget"],
 )
 def test_walk_within_the_memory_budget_is_accepted(text):
     parse_config(text)

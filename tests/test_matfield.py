@@ -9,6 +9,7 @@ from eigencollide.gfield import KernelSpec, TimeGrid
 from eigencollide.matfield import (
     EnsembleSpec,
     MatrixPath,
+    _row_draws,
     affine,
     assemble_rect,
     assemble_selfadjoint,
@@ -109,6 +110,27 @@ def test_entry_fields_independent():
     for (i1, j1), (i2, j2) in pairs:
         rho = np.corrcoef(x[:, i1, j1], x[:, i2, j2])[0, 1]
         assert abs(rho) < 4 / np.sqrt(m)
+
+
+def test_brownian_row_draws_have_covariance_min_s_t():
+    # a 1-d H = 1/2 entry is a scaled cumulative sum walked in blocks of 3
+    # rows, the second block carrying the first's last row
+    grid = TimeGrid([(0.5, 2.0)], [4])
+    spec = EnsembleSpec(beta=1, shape=(2,), kernel=KERN)
+    m = 3000
+    entries = ((0, 0), (0, 1), (1, 1))
+
+    def path(p):  # the three entry draws of path p, each joined over its blocks
+        blocks = [[draw(i, j, 0) for i, j in entries]
+                  for _, _, draw in _row_draws(spec, grid, 4, p, 3)]
+        return np.concatenate(blocks, axis=1)
+
+    x = np.concatenate([path(p) for p in range(m)])
+    t = grid.axis(0)
+    want = np.minimum.outer(t, t)
+    got = x.T @ x / len(x)  # the mean is known to be 0
+    se = np.sqrt((np.outer(t, t) + want**2) / len(x))
+    assert np.all(np.abs(got - want) <= 5 * se)
 
 
 def test_rect_entry_variances():

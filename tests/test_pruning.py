@@ -18,7 +18,7 @@ import pytest
 
 from eigencollide import estimate
 from eigencollide.estimate import _ensemble_rows, _path_pass, _solve, collision_prob
-from eigencollide.gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d
+from eigencollide.gfield import KernelSpec, TimeGrid, _sheet_rows
 from eigencollide.harness import ExperimentConfig, parse_config, run
 from eigencollide.matfield import EnsembleSpec, sample_ensemble
 from eigencollide.spectra import NumericalError
@@ -236,14 +236,15 @@ def test_pruning_solves_under_30_percent_of_anisotropic_affine(monkeypatch):
 # -- failures ------------------------------------------------------------
 
 
-def _nan_in_sheet_rows(point):
-    """A `matfield._sheet_rows` whose draw of entry (0, 1) on path 0 is NaN
-    at grid point `point`; every other value is unchanged."""
+def _nan_in_sheet_rows(point, path_index=0):
+    """A `matfield._sheet_rows` whose draw of entry (0, 1) on path
+    `path_index` is NaN at grid point `point`; every other value is
+    unchanged."""
 
     def planted(kernel, grid, seed, key, rows):
         start = 0
         for block in _sheet_rows(kernel, grid, seed, key, rows):
-            if key == (0, 1, 0) and start <= point[0] < start + len(block):
+            if key == (path_index, 1, 0) and start <= point[0] < start + len(block):
                 block = block.copy()
                 block[(point[0] - start,) + point[1:]] = np.nan
             yield block
@@ -272,15 +273,8 @@ def test_nan_at_a_pruned_point_fails_its_path(monkeypatch):
 
 
 def test_collision_prob_counts_nan_at_a_pruned_point_as_failed(monkeypatch):
-    def planted(H, grid, seed, key=()):
-        sample = sample_fbm_1d(H, grid, seed, key)
-        if key[:2] != (7, 1):
-            return sample
-        values = sample.values.copy()
-        values[4] = np.nan  # not an anchor: anchors are 0, 3 and 6
-        return dataclasses.replace(sample, values=values)
-
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", planted)
+    # not an anchor: anchors are 0, 3 and 6
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((4,), 7))
     spec, pattern = _spec((3,), 1, ["1/2"]), CollisionPattern((2,), 3)
     est = collision_prob(spec, pattern, SpectralKind.REAL_EIGEN, TimeGrid.unit([8]),
                          HIT_BY_ANCHORS, 100, 3)
