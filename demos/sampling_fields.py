@@ -5,10 +5,10 @@ rests on drawing the scalar field with the right covariance
 
     C(s, t) = prod_j ( s_j^{2H_j} + t_j^{2H_j} - |s_j - t_j|^{2H_j} ) / 2.
 
-This script draws fractional Brownian motion by circulant embedding and a
-two-parameter sheet by per-axis Cholesky factors, then checks the
-empirical moments against the closed form and scans the nondegeneracy
-constants the theory assumes.
+This script draws fractional Brownian motion by circulant embedding (a
+scaled cumulative sum at H = 1/2) and a two-parameter sheet by per-axis
+factors, then checks the empirical moments against the closed form and
+scans the nondegeneracy constants the theory assumes.
 """
 
 from fractions import Fraction

@@ -37,14 +37,15 @@ singular values) takes the general route: each block's raw matrices
 Both routes are bitwise the whole-grid reference
 `pattern_gap_values(spectral_path(sample_ensemble(...)).values)`: each
 block draws the next rows of the same entry streams (see `matfield`),
-and every later step acts point by point.  A sheet with a dense
-(H != 1/2) axis is drawn whole and then split into blocks, since a dense
-factor applied to a block would round differently, and so is a
-fractional 1-d grid's Davies-Harte draw; the walk's memory budget
-(`matfield._walk_problems`) counts the whole path then.  A grid whose
-axes all have H = 1/2, a 1-d Brownian motion included, draws each
-block's own rows.  Everything is allocated per call, with no shared
-buffer, so worker threads cannot interfere.
+and every later step acts point by point.  How an entry is drawn is
+`gfield._sheet_rows`' choice: a grid whose axes all have H = 1/2, a 1-d
+Brownian motion included, draws each block's own rows; a sheet with a
+dense (H != 1/2) axis is drawn whole and then split into blocks, since a
+dense factor applied to a block would round differently, and so is a
+fractional 1-d grid (Davies-Harte on a lattice through 0); the walk's
+memory budget (`matfield._walk_problems`) counts the whole path then.
+Everything is allocated per call, with no shared buffer, so worker
+threads cannot interfere.
 
 `collision_prob` passes its eps ladder to the kernel, and the general
 route then solves a point only where it can still change the path's hit

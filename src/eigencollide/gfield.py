@@ -1,43 +1,37 @@
 """Scalar Gaussian fields on rectangular time grids.
 
-Two exact samplers:
+`_sheet_rows` is the one sampler: it decides how any grid is drawn, and
+yields the draw in blocks of rows along axis 0 for the Monte Carlo path
+kernel.  `sample_sheet` is its one-block case and `sample_fbm_1d` the
+one-block case of a one-exponent kernel, so one (seed, key) has one
+realization whichever of them draws it.  Three methods, all exact:
 
-* `sample_fbm_1d` draws fractional Brownian motion on a uniform 1-d grid by
-  circulant embedding of the increment covariance (Davies-Harte), falling
-  back to a dense Cholesky factor of the path covariance when the embedding
-  is not nonnegative or the grid does not sit on a lattice through 0.  The
-  dense factor is the sheet's cached axis factor.
-* `sample_sheet` draws an N-parameter fractional Brownian sheet.  The
-  covariance factorizes over axes, so the draw applies one per-axis
-  Cholesky factor along each tensor dimension.  On an H = 1/2 axis the
-  factor of min(s, t) is L[i, k] = sqrt(t_k - t_{k-1}) for k <= i (t_0 = 0),
-  applied as a scaling and a cumulative sum in O(n_j) per line; other axes
-  use the dense factor, cost n_j^3 once (cached) plus n_j per point and
-  draw.  A draw costs (prod n_j) * sum_j c_j with c_j = 1 on H = 1/2 axes
-  and n_j otherwise, never (prod n_j)^3.
-* `_sheet_rows`, of which `sample_sheet` is the one-block case, yields a
-  sheet draw in blocks of rows along axis 0 for the Monte Carlo path
-  kernel.  When every axis has H = 1/2 (`_streams_by_rows`), a block
-  draws only its own rows of normals and carries the last row of the
-  axis-0 cumulative sum into the next block, so memory follows the block,
-  not the grid.  A sheet with any dense (H != 1/2) axis is drawn whole
-  and then sliced: applying a dense factor to a row block goes through
-  BLAS, whose blocking, and so its rounding, depends on the row count,
-  and the draw would no longer be the same bit for bit.
+* Every axis H = 1/2 (`_streams_by_rows`), a 1-d Brownian motion
+  included: the factor of min(s, t) is L[i, k] = sqrt(t_k - t_{k-1}) for
+  k <= i (t_0 = 0), applied as a scaling and a cumulative sum in O(n_j)
+  per line.  A block draws only its own rows of normals and carries the
+  last row of the axis-0 cumulative sum into the next block, so memory
+  follows the block, not the grid.
+* A fractional 1-d grid on a lattice through 0 of at most `_MAX_POINTS`
+  points: circulant embedding of the increment covariance (Davies-Harte,
+  real FFT), drawn for the lattice from 0 and cut to the grid.
+* Everything else: the sheet's covariance factorizes over axes, so the
+  draw applies one cached per-axis Cholesky factor along each tensor
+  dimension (the dense path; H = 1/2 axes still take the cumulative
+  sum).  It costs n_j^3 once per axis plus (prod n_j) * sum_j c_j per
+  draw, with c_j = 1 on H = 1/2 axes and n_j otherwise.  The dense path
+  also takes a 1-d grid whose circulant embedding fails.
 
-The matrix-field kernel draws a 1-d Brownian motion (H = 1/2) with
-`_sheet_rows` too, as a scaled cumulative sum of n normals from its grid
-start, and keeps `sample_fbm_1d` for fractional 1-d grids.  The two give
-the same law but different realizations of one stream: Davies-Harte on
-[1, 2] with 4096 points draws 16 380 normals for the lattice from 0, the
-cumulative sum 4096.  `sample_fbm_1d(0.5, ...)` keeps its Davies-Harte
-realization.
+The last two draw the whole grid and slice it: a dense factor applied to
+a row block goes through BLAS, whose blocking, and so its rounding,
+depends on the row count, and the draw would no longer be the same bit
+for bit.
 
-`_sampler_problems` owns the size limits of both samplers: two points per
-axis, at most `_MAX_DENSE` points on an axis with a dense factor, and, for
-`sample_fbm_1d`, at most `_MAX_DENSE` points off a lattice through 0 (a
-lattice of more than `_MAX_POINTS` points counts as none).  The samplers
-raise its list before drawing, and config validation reports it.
+`_sampler_problems` owns the size limits: two points per axis, at most
+`_MAX_DENSE` points on an axis with a dense factor, and on a fractional
+1-d grid at most `_MAX_DENSE` points off a lattice through 0 (a lattice
+of more than `_MAX_POINTS` points counts as none).  `_sheet_rows` raises
+its list before drawing, and config validation reports it.
 
 Sampling uses the splittable streams of `eigencollide.rng`; a fixed
 (seed, key) always reproduces the same values bit for bit.
@@ -290,13 +284,13 @@ def _lattice_presteps(grid: TimeGrid) -> int | None:
 _TOO_FEW_POINTS = "resolution entries must be >= 2 (every sampler needs two points per axis)"
 
 
-def _sampler_problems(hurst: Sequence[float], grid: TimeGrid, circulant: bool) -> list[str]:
-    """What keeps a sampler from drawing a field with exponents `hurst` on
-    `grid`, in config vocabulary: `sample_fbm_1d` when `circulant`, else
-    `_sheet_rows`.  Both raise this list; config validation reports it."""
+def _sampler_problems(hurst: Sequence[float], grid: TimeGrid) -> list[str]:
+    """What keeps `_sheet_rows` from drawing a field with exponents `hurst`
+    on `grid`, in config vocabulary.  It raises this list; config
+    validation reports it."""
     if any(n < 2 for n in grid.shape):
         return [_TOO_FEW_POINTS]
-    if circulant:
+    if grid.ndim == 1 and hurst[0] != 0.5:
         n = grid.shape[0]
         if n > _MAX_DENSE and _lattice_presteps(grid) is None:
             return [
@@ -320,10 +314,34 @@ def _refuse_draw(problems: list[str]) -> None:
         raise error("; ".join(problems))
 
 
-def _streams_by_rows(spec: KernelSpec) -> bool:
+def _streams_by_rows(hurst: Sequence[float]) -> bool:
     """Whether `_sheet_rows` draws each block's own rows only, which it
     does when every axis has H = 1/2; otherwise it draws the sheet whole."""
-    return all(h == 0.5 for h in spec.hurst.as_floats())
+    return all(h == 0.5 for h in hurst)
+
+
+def _davies_harte(
+    hurst: Sequence[float], grid: TimeGrid, rng: np.random.Generator
+) -> np.ndarray | None:
+    """The Davies-Harte draw of a fractional 1-d grid on the lattice
+    through 0, or None for any other grid and when the embedding fails,
+    which `_sheet_rows` draws by the dense path."""
+    if grid.ndim != 1 or hurst[0] == 0.5:
+        return None
+    presteps = _lattice_presteps(grid)
+    if presteps is None:
+        return None
+    (a, b), n = grid.intervals[0], grid.shape[0]
+    n_incr = presteps + n - 1
+    sqrt_eigs = _fgn_sqrt_eigs(hurst[0], (b - a) / (n - 1), n_incr)
+    if sqrt_eigs is None:
+        if n > _MAX_DENSE:
+            raise FactorizationError(
+                "no circulant embedding and grid too large (%d) for dense fallback" % n
+            )
+        return None
+    path = np.concatenate([[0.0], np.cumsum(_fgn_draw(sqrt_eigs, n_incr, rng))])
+    return path[presteps:].copy()
 
 
 def _as_exponent(H) -> float:
@@ -331,42 +349,15 @@ def _as_exponent(H) -> float:
 
 
 def sample_fbm_1d(H, grid: TimeGrid, seed: int, key: tuple[int, ...] = ()) -> FieldSample:
-    """Exact fractional Brownian motion draw on a 1-d grid.
-
-    Uses Davies-Harte on the lattice through 0 when the grid is
-    commensurate with one of at most `_MAX_POINTS` points, otherwise (or
-    when the embedding fails) a dense Cholesky factor of the path
-    covariance, refused over `_MAX_DENSE` points.
-
-    This holds at H = 1/2 too.  The matrix-field kernel draws its
-    H = 1/2 1-d entries by a scaled cumulative sum (`_sheet_rows`)
-    instead: the same law, a different realization of the same
-    (seed, key).
-    """
+    """Exact fractional Brownian motion draw on a 1-d grid: `sample_sheet`
+    of the one-exponent kernel, so the same (seed, key) gives the same
+    values as every other draw of that kernel."""
     h = _as_exponent(H)
     if not 0 < h < 1:
         raise ValueError("Hurst exponent must lie in (0, 1)")
     if grid.ndim != 1:
         raise ValueError("sample_fbm_1d needs a 1-d grid")
-    _refuse_draw(_sampler_problems((h,), grid, circulant=True))
-    n = grid.shape[0]
-    rng = substream(seed, DOMAIN_FIELD, *key)
-    (a, b) = grid.intervals[0]
-    step = (b - a) / (n - 1)
-    presteps = _lattice_presteps(grid)
-    if presteps is not None:
-        n_incr = presteps + n - 1
-        sqrt_eigs = _fgn_sqrt_eigs(h, step, n_incr)
-        if sqrt_eigs is not None:
-            incr = _fgn_draw(sqrt_eigs, n_incr, rng)
-            path = np.concatenate([[0.0], np.cumsum(incr)])
-            return FieldSample(path[presteps:].copy())
-    if n > _MAX_DENSE:
-        raise FactorizationError(
-            "no circulant embedding and grid too large (%d) for dense fallback" % n
-        )
-    values = _axis_factor(h, a, b, n) @ rng.standard_normal(n)
-    return FieldSample(values)
+    return sample_sheet(KernelSpec(HurstVector([Fraction(h)])), grid, seed, key)
 
 
 def sample_sheet(
@@ -374,9 +365,8 @@ def sample_sheet(
 ) -> FieldSample:
     """One fractional-Brownian-sheet draw on the grid.
 
-    The per-axis covariance factors are cached, so repeated draws on the
-    same grid only pay the tensor application: a scaled cumulative sum on
-    H = 1/2 axes, a dense factor product on the others.  This is the
+    The per-axis covariance factors and circulant spectra are cached, so
+    repeated draws on the same grid only pay the draw itself.  This is the
     one-block case of `_sheet_rows`.
     """
     return FieldSample(next(_sheet_rows(spec, grid, seed, key, grid.shape[0])))
@@ -393,17 +383,23 @@ def _sheet_rows(
     normals from the stream, which hands them out in C order, scales them
     by the axis-0 weights and adds the last row of the previous block's
     axis-0 cumulative sum before its own; the other axes are scaled and
-    summed inside the block.  Any other sheet is drawn whole and sliced: a
-    dense factor applied to a row block goes through BLAS, whose blocking,
-    and so its rounding, depends on the row count.
+    summed inside the block.  A fractional 1-d grid on the lattice through
+    0 is drawn whole by Davies-Harte and sliced.  Any other sheet is drawn
+    whole by the dense factors and sliced: a dense factor applied to a row
+    block goes through BLAS, whose blocking, and so its rounding, depends
+    on the row count.
     """
     if grid.ndim != spec.ndim:
         raise ValueError("grid and kernel dimension mismatch")
     hurst = spec.hurst.as_floats()
-    _refuse_draw(_sampler_problems(hurst, grid, circulant=False))
+    _refuse_draw(_sampler_problems(hurst, grid))
     rng = substream(seed, DOMAIN_FIELD, *key)
     n0 = grid.shape[0]
-    step = rows if _streams_by_rows(spec) else n0
+    values = _davies_harte(hurst, grid, rng)
+    if values is not None:
+        yield from (values[row : row + rows] for row in range(0, n0, rows))
+        return
+    step = rows if _streams_by_rows(hurst) else n0
     for start in range(0, n0, step):
         values = rng.standard_normal((min(step, n0 - start),) + grid.shape[1:])
         for j, h in enumerate(hurst):

@@ -22,10 +22,9 @@ self-adjoint ensemble `_plane_entries` turns a block's draws into its
 diagonal (a, c) and modulus |b| of the off-diagonal entry, bitwise the
 values `assemble_selfadjoint` stores, and no matrix is built.  A block
 draws only its own rows on a grid whose axes all have H = 1/2
-(`gfield._streams_by_rows`), a 1-d Brownian motion included, which
-`gfield._sheet_rows` draws as a scaled cumulative sum; a sheet with a
-dense axis, and a fractional 1-d grid (Davies-Harte, `sample_fbm_1d`), is
-drawn whole per entry and sliced.
+(`gfield._streams_by_rows`), a 1-d Brownian motion included; any other
+grid is drawn whole per entry and sliced.  `gfield._sheet_rows` decides
+how each entry is drawn.
 
 `_walk_problems` owns the limits of a walk: its sampler's
 (`gfield._sampler_problems`) and the memory budget of `_MAX_PATH_BYTES`
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfield import KernelSpec, TimeGrid, _sampler_problems, _sheet_rows, _streams_by_rows
-# sample_sheet: unused, bound for the benchmark's tracer
+# sample_fbm_1d, sample_sheet: unused, bound for the benchmark's tracer
 from .gfield import sample_fbm_1d, sample_sheet  # noqa: F401
 
 __all__ = [
@@ -163,7 +162,7 @@ def _budget_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]
     axis H = 1/2, on any number of axes), else the whole path, since its
     entry draws are whole."""
     n0 = grid.shape[0]
-    if _streams_by_rows(spec.kernel):
+    if _streams_by_rows(spec.kernel.hurst.as_floats()):
         n0 = min(rows, n0)
     d1, d2 = spec.dims
     nbytes = n0 * math.prod(grid.shape[1:]) * d1 * d2 * np.dtype(spec.dtype).itemsize
@@ -176,18 +175,10 @@ def _budget_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]
 def _walk_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]:
     """What refuses a walk over a path of `spec` on `grid` in blocks of
     `rows` rows, in config vocabulary: the limits of its sampler
-    (`sample_fbm_1d` on a fractional 1-d grid, `_sheet_rows` otherwise),
-    which that sampler raises, and the memory budget, which `_row_draws`
-    raises.  Config validation reports this list."""
-    hurst = spec.kernel.hurst.as_floats()
-    return (_sampler_problems(hurst, grid, _circulant(spec, grid))
+    `_sheet_rows`, which that sampler raises, and the memory budget, which
+    `_row_draws` raises.  Config validation reports this list."""
+    return (_sampler_problems(spec.kernel.hurst.as_floats(), grid)
             + _budget_problems(spec, grid, rows))
-
-
-def _circulant(spec: EnsembleSpec, grid: TimeGrid) -> bool:
-    """Whether the entries are drawn whole by `sample_fbm_1d` (Davies-Harte):
-    on a 1-d grid that does not stream by rows, i.e. a fractional one."""
-    return grid.ndim == 1 and not _streams_by_rows(spec.kernel)
 
 
 def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
@@ -197,14 +188,10 @@ def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, r
 
     `draw(i, j, part)` returns the block of the scalar field at entry
     (i, j) and must be called once per block for each entry the caller
-    uses.  Each entry is one stream, so joined blocks are the same values
-    whatever `rows` is: `_sheet_rows` on any grid whose axes all have
-    H = 1/2 (a 1-d Brownian motion too: a scaled cumulative sum, each
-    block drawing only its own rows), and on a sheet with a dense axis;
-    on a fractional 1-d grid the circulant fBm draw, which is much cheaper
-    than the dense axis factor on long axes (same law), cut into blocks.
-    A stream is dropped after its last block, since a suspended generator
-    keeps its whole draw alive.
+    uses.  Each entry is one stream of `gfield._sheet_rows`, so joined
+    blocks are the same values whatever `rows` is.  A stream is dropped
+    after its last block, since a suspended generator keeps its whole
+    draw alive.
     """
     problems = _budget_problems(spec, grid, rows)
     if problems:
@@ -212,15 +199,9 @@ def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, r
     n0 = grid.shape[0]
     streams = {}
 
-    def stream(key):
-        if not _circulant(spec, grid):
-            return _sheet_rows(spec.kernel, grid, seed, key, rows)
-        values = sample_fbm_1d(float(spec.kernel.hurst[0]), grid, seed, key).values
-        return (values[row : row + rows] for row in range(0, n0, rows))
-
     def draw(i, j, part):
         key = _entry_key(spec, path_index, i, j, part)
-        entry = streams.pop(key, None) or stream(key)
+        entry = streams.pop(key, None) or _sheet_rows(spec.kernel, grid, seed, key, rows)
         block = next(entry)
         if start + rows < n0:
             streams[key] = entry
@@ -328,7 +309,9 @@ def _affine_values(values: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
 def sample_ensemble(
     spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int = 0
 ) -> MatrixPath:
-    """Raw field plus affine map in one call (the Monte Carlo hot path)."""
+    """Raw field plus affine map in one call: the whole-grid reference
+    whose values the blocks of the Monte Carlo path kernel
+    (`estimate._path_rows`) equal bit for bit."""
     raw = (
         assemble_selfadjoint(spec, grid, seed, path_index)
         if spec.is_square

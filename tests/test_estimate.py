@@ -1,6 +1,5 @@
 """Estimator checks on synthetic sets and small Monte Carlo runs."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -17,7 +16,7 @@ from eigencollide.estimate import (
     verdict_experiment,
     wilson_interval,
 )
-from eigencollide.gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d
+from eigencollide.gfield import KernelSpec, TimeGrid, _lattice_presteps, _sheet_rows, sample_fbm_1d
 from eigencollide.harness import ExperimentConfig, simulate
 from eigencollide.matfield import EnsembleSpec, _ensemble_rows, assemble_rect, sample_ensemble
 from eigencollide.spectra import NumericalError, pattern_gap_values, spectral_path
@@ -83,22 +82,6 @@ def _nan_in_sheet_rows(point, path_index=0):
     return planted
 
 
-def _nan_at_point_3(path_index):
-    """A `matfield.sample_fbm_1d` (the draw of fractional 1-d grids) whose
-    draw of entry (0, 1) on path `path_index` is NaN at grid point 3;
-    every other draw is unchanged."""
-
-    def planted(H, grid, seed, key=()):
-        sample = sample_fbm_1d(H, grid, seed, key)
-        if key[:2] != (path_index, 1):
-            return sample
-        values = sample.values.copy()
-        values[3] = np.nan
-        return dataclasses.replace(sample, values=values)
-
-    return planted
-
-
 def test_collision_prob_counts_nan_path_as_failed(monkeypatch):
     # plain 2x2 paths take the plane route, which draws entries but no
     # matrix path, so the NaN is planted in the entry draw
@@ -123,9 +106,11 @@ def test_collision_prob_counts_nan_path_as_failed_3x3(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
 def test_collision_prob_counts_nan_davies_harte_path_as_failed(monkeypatch, d):
-    # a fractional 1-d grid draws its entries whole by Davies-Harte
-    monkeypatch.setattr("eigencollide.matfield.sample_fbm_1d", _nan_at_point_3(7))
+    # a fractional 1-d grid on the lattice through 0 draws its entries
+    # whole by Davies-Harte, then hands them out in blocks
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((3,), 7))
     grid = TimeGrid.unit([8])
+    assert _lattice_presteps(grid) is not None
     spec, pattern = ensemble(["3/10"], shape=(d,)), CollisionPattern((2,), d)
     est = collision_prob(spec, pattern, RE, grid, (1e9, 0.5), 100, 3)
     assert est.n_failed == 1
@@ -304,14 +289,21 @@ def test_thread_count_cannot_matter_on_multi_block_grids(shape):
     assert a.hits == tuple(int(sum(m <= e for m in mins)) for e in ladder)
 
 
-@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["plane", "general"])
-def test_thread_count_cannot_matter_on_a_streamed_1d_grid(shape):
+@pytest.mark.parametrize(
+    "shape, h, n",
+    [((2,), "1/2", 40000), ((2, 3), "1/2", 40000), ((2,), "3/10", 4097), ((2, 3), "3/10", 4097)],
+    ids=["plane", "general", "plane-fractional", "general-fractional"],
+)
+def test_thread_count_cannot_matter_on_a_streamed_1d_grid(monkeypatch, shape, h, n):
     # a 1-d Brownian motion in three blocks, each carrying the last value of
-    # the cumulative sum into the next; compared a few times over, since
-    # state shared between threads need not show on every run
-    grid = TimeGrid.unit([40000])
+    # the cumulative sum into the next, and a fractional one drawn whole by
+    # Davies-Harte and cut into three smaller blocks (its 4097 points give
+    # a 2^14-point FFT); compared a few times over, since state shared
+    # between threads need not show on every run
+    monkeypatch.setattr(estimate, "_BLOCK_POINTS", estimate._BLOCK_POINTS * n // 40000)
+    grid = TimeGrid.unit([n])
     assert estimate._block_rows(grid) < grid.shape[0] // 2
-    spec, kind = ensemble(["1/2"], shape=shape), _kind(shape, 1)
+    spec, kind = ensemble([h], shape=shape), _kind(shape, 1)
     ladder = (0.02, 0.005, 0.00125)
     records = [
         json.dumps(collision_prob(spec, PAT2, kind, grid, ladder, 100, 13,

@@ -10,6 +10,7 @@ from eigencollide.gfield import (
     _axis_factor,
     _fgn_draw,
     _fgn_sqrt_eigs,
+    _lattice_presteps,
     _sheet_rows,
     FactorizationError,
     KernelSpec,
@@ -136,8 +137,9 @@ def test_fbm_increment_scaling():
 
 
 def test_fbm_dense_fallback_incommensurate():
-    # [1.05, 2] with 20 points has no lattice through 0; dense path is exact.
-    g = TimeGrid([(1.05, 2.0)], [20])
+    # [1.03, 2] with 20 points has no lattice through 0; dense path is exact.
+    g = TimeGrid([(1.03, 2.0)], [20])
+    assert _lattice_presteps(g) is None
     m = 4000
     draws = np.stack(
         [sample_fbm_1d("2/3", g, seed=13, key=(i,)).values for i in range(m)]
@@ -150,8 +152,31 @@ def test_fbm_dense_fallback_incommensurate():
 
 def test_fbm_large_incommensurate_rejected():
     g = TimeGrid([(1.05, 2.0)], [5000])
-    with pytest.raises(FactorizationError):
-        sample_fbm_1d("1/2", g, seed=0)
+    assert _lattice_presteps(g) is None
+    with pytest.raises(FactorizationError, match="off the lattice through 0"):
+        sample_fbm_1d("3/10", g, seed=0)
+    # H = 1/2 takes the cumulative sum, which has no size limit, and a
+    # fractional grid on the lattice through 0 takes Davies-Harte, whichever
+    # entry point draws it
+    assert sample_fbm_1d("1/2", g, seed=0).values.shape == (5000,)
+    on_lattice = TimeGrid.unit([5000])
+    assert sample_sheet(spec("3/10"), on_lattice, seed=0).values.shape == (5000,)
+
+
+@pytest.mark.parametrize("h", ["1/2", "3/10", "7/10"])
+@pytest.mark.parametrize(
+    "interval, n", [((1.0, 2.0), 33), ((1.03, 2.0), 20)], ids=["lattice", "off-lattice"]
+)
+def test_fbm_is_the_one_exponent_sheet_bitwise(h, interval, n):
+    # one realization per (seed, key), whichever entry point draws it
+    g = TimeGrid([interval], [n])
+    assert (_lattice_presteps(g) is None) == (interval[0] == 1.03)
+    want = sample_fbm_1d(h, g, seed=6, key=(1, 2, 0)).values
+    for got in (
+        sample_sheet(spec(h), g, seed=6, key=(1, 2, 0)).values,
+        np.concatenate(list(_sheet_rows(spec(h), g, 6, (1, 2, 0), 4))),
+    ):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- sheet sampler ------------------------------------------------------
@@ -205,16 +230,19 @@ def test_sheet_marginal_variance():
 
 
 def test_sheet_matches_fbm_in_distribution_1d():
-    g = TimeGrid.unit([17])
-    k = spec("1/2")
+    # two methods, compared at their shared endpoint t = 2: Davies-Harte on
+    # the lattice through 0 and the dense factor off it
+    k = spec("3/10")
+    lattice, dense = TimeGrid.unit([17]), TimeGrid([(1.03, 2.0)], [20])
+    assert _lattice_presteps(lattice) == 16 and _lattice_presteps(dense) is None
     m = 10_000
-    sheet_end = np.array(
-        [sample_sheet(k, g, seed=4, key=(i,)).values[-1] for i in range(m)]
+    lattice_end = np.array(
+        [sample_sheet(k, lattice, seed=4, key=(i,)).values[-1] for i in range(m)]
     )
-    fbm_end = np.array(
-        [sample_fbm_1d("1/2", g, seed=5, key=(i,)).values[-1] for i in range(m)]
+    dense_end = np.array(
+        [sample_fbm_1d("3/10", dense, seed=5, key=(i,)).values[-1] for i in range(m)]
     )
-    assert ks_2samp(sheet_end, fbm_end).statistic < 0.03
+    assert ks_2samp(lattice_end, dense_end).statistic < 0.03
 
 
 def test_sheet_determinism():
@@ -271,6 +299,9 @@ SHEET_ROW_CASES = {
     # a 1-d Brownian motion, on the lattice through 0 and off it
     "bm-100": (("1/2",), [(1.0, 2.0)], [100]),
     "bm-off-lattice-100": (("1/2",), [(1.05, 2.0)], [100]),
+    # fractional 1-d: Davies-Harte on the lattice, the dense factor off it
+    "fbm-3/10-100": (("3/10",), [(1.0, 2.0)], [100]),
+    "fbm-7/10-off-lattice-20": (("7/10",), [(1.03, 2.0)], [20]),
 }
 
 
@@ -292,10 +323,14 @@ def test_sheet_rows_join_to_sample_sheet_bitwise(monkeypatch, case):
         assert 0 < len(blocks[-1]) <= rows
         got = np.concatenate(blocks)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        # all-1/2 sheets draw each block's rows alone; a dense axis draws whole
+        # all-1/2 sheets draw each block's rows alone; a dense axis draws
+        # whole, and Davies-Harte draws the normals of the lattice from 0
         draws = streams[-1].shapes
         if all(h == "1/2" for h in hs):
             assert draws == [b.shape for b in blocks]
+        elif _lattice_presteps(grid) is not None and len(shape) == 1:
+            n_incr = _lattice_presteps(grid) + shape[0] - 1
+            assert draws == [2, (n_incr - 1, 2)]
         else:
             assert draws == [tuple(shape)]
 
@@ -318,9 +353,16 @@ def test_fgn_real_fft_matches_complex_ifft():
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _off_lattice_fbm(h, grid, seed, key):
+    """`sample_fbm_1d` on a grid that must take the dense path."""
+    assert _lattice_presteps(grid) is None
+    return sample_fbm_1d(h, grid, seed, key)
+
+
 # Realizations recorded from the dense-factor sheet sampler and the complex
-# Davies-Harte draw: entries at fixed flat indices and the sum of squares.
-# They pin the stream layout (seed, key) -> values across sampler changes.
+# Davies-Harte draw, and the 1-d cumulative sum recorded from `sample_sheet`:
+# entries at fixed flat indices and the sum of squares.  They pin the
+# stream layout (seed, key) -> values across sampler changes.
 _PINNED = [
     pytest.param(
         lambda: sample_sheet(spec("1/2", "1/2"), TimeGrid.unit([32, 32]), 2024, (3, 1, 0)),
@@ -339,18 +381,26 @@ _PINNED = [
         id="sheet_mixed_16x16",
     ),
     pytest.param(
-        lambda: sample_fbm_1d("1/2", TimeGrid.unit([4096]), 2024, (3, 1, 0)),
+        lambda: sample_fbm_1d("7/10", TimeGrid.unit([4096]), 2024, (3, 1, 0)),
         [0, 1, 2047, 4095],
-        [-0.4214658267495889, -0.39133311927422293, -1.9009794261380264,
-         -1.5049628602850156],
-        9917.22709742908,
+        [-0.5569511477176413, -0.5525127623968559, -1.8414983296478107,
+         -1.6756598764395925],
+        10387.179423484135,
         id="fbm_davies_harte_4096",
     ),
-    pytest.param(  # [1.05, 2] with 20 points has no lattice through 0
-        lambda: sample_fbm_1d("7/10", TimeGrid([(1.05, 2.0)], [20]), 2024, (3, 1, 0)),
+    pytest.param(
+        lambda: sample_fbm_1d("1/2", TimeGrid.unit([4096]), 2024, (3, 1, 0)),
+        [0, 1, 2047, 4095],
+        [-0.8501444651854032, -0.8475657013767378, -0.810435885708402,
+         1.146951653546431],
+        3172.903681202731,
+        id="fbm_brownian_cumsum_4096",
+    ),
+    pytest.param(
+        lambda: _off_lattice_fbm("7/10", TimeGrid([(1.03, 2.0)], [20]), 2024, (3, 1, 0)),
         [0, 7, 19],
-        [-0.6533753830512818, -1.7377480272429646, -1.628665606922615],
-        50.207831495883596,
+        [-0.8679181870380859, -0.5100288113252927, -0.5433410543025377],
+        6.708786159413038,
         id="fbm_dense_fallback_20",
     ),
 ]

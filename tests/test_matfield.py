@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eigencollide.gfield import KernelSpec, TimeGrid
+from eigencollide.gfield import KernelSpec, TimeGrid, sample_fbm_1d
 from eigencollide.matfield import (
     EnsembleSpec,
     MatrixPath,
+    _entry_key,
     _row_draws,
     affine,
     assemble_rect,
@@ -156,6 +157,20 @@ def test_fixed_seed_bit_identical():
     a = assemble_rect(spec, GRID, 9, path_index=3)
     b = assemble_rect(spec, GRID, 9, path_index=3)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("h", ["1/2", "3/10"])
+@pytest.mark.parametrize("interval", [(1.0, 2.0), (1.03, 2.0)], ids=["lattice", "off-lattice"])
+def test_entry_on_a_1d_grid_is_sample_fbm_1d_of_its_key(h, interval):
+    # one realization per (seed, key): an entry's draw is the 1-d draw
+    # with that entry's stream key
+    grid = TimeGrid([interval], [20])
+    spec = EnsembleSpec(beta=2, shape=(2, 3), kernel=KernelSpec(HurstVector([h])))
+    values = assemble_rect(spec, grid, 9, path_index=4).values
+    for (i, j, part), got in (((0, 2, 0), values[:, 0, 2].real),
+                              ((1, 1, 1), values[:, 1, 1].imag)):
+        want = sample_fbm_1d(h, grid, 9, _entry_key(spec, 4, i, j, part)).values
+        assert np.array_equal(got, want)
 
 
 # -- affine maps --------------------------------------------------------
