@@ -281,12 +281,14 @@ def _sde(args) -> int:
             term, broken = wishart_paths(x0, args.t1, args.steps, n, seed, args.paths)
     except ValueError as err:  # the runners reject bad arguments up front
         raise ConfigError(str(err)) from err
+    kept = term[~broken]
+    # with every path broken the statistics are undefined: null, not NaN
     summary = {
         "model": args.model,
         "paths": args.paths,
         "broken": int(broken.sum()),
-        "mean": [float(m) for m in term[~broken].mean(axis=0)],
-        "var": [float(v) for v in term[~broken].var(axis=0)],
+        "mean": kept.mean(axis=0).tolist() if len(kept) else [None] * d,
+        "var": kept.var(axis=0).tolist() if len(kept) else [None] * d,
     }
     if args.out:
         header = ",".join("x%d" % (i + 1) for i in range(d)) + ",broken"
@@ -297,16 +299,19 @@ def _sde(args) -> int:
         summary["csv"] = args.out
         stat_rows = ["statistic," + ",".join("x%d" % (i + 1) for i in range(d))]
         for name in ("mean", "var"):
-            stat_rows.append(name + "," + ",".join("%.12g" % v for v in summary[name]))
+            stat_rows.append(
+                name + "," + ",".join("" if v is None else "%.12g" % v for v in summary[name])
+            )
         stat_rows.append("broken," + ",".join([str(summary["broken"])] * d))
         summary_path = str(Path(args.out).with_suffix(".summary.csv"))
         Path(summary_path).write_text("\n".join(stat_rows) + "\n")
         summary["summary_csv"] = summary_path
+    mean = np.round(summary["mean"], 4) if len(kept) else "undefined"
     _emit(
         summary,
         args.json,
         "%s: %d paths (%d broken), terminal mean %s"
-        % (args.model, args.paths, summary["broken"], np.round(term[~broken].mean(axis=0), 4)),
+        % (args.model, args.paths, summary["broken"], mean),
     )
     return 0
 

@@ -29,14 +29,15 @@ fully collided scale.
 
 The path runners integrate paths in chunks sized so that one block of
 noise takes at most 64 MiB (16 384 paths at d = 2).  Their state is
-particle-major, shape (d, paths), so each per-particle operation is one
-contiguous vector operation over the paths.  Path p draws its Brownian
-increments from its own stream, substream(seed, DOMAIN_SDE, p), in blocks
-of 256 steps; consecutive draws on one stream continue a single
-(steps, d) draw, so the block size does not change any path.  Memory is
-O(block * d * paths + d^2 * paths) per chunk of paths, independent of the
-number of steps.  The drifts add their pair terms in ascending j, so a
-path does not depend on how many paths share its chunk.
+particle-major, shape (d, paths), plus each path's smallest gap, carried
+from one step's crossing test to the next step's impulse bound.  Path p
+draws its Brownian increments from substream(seed, DOMAIN_SDE, p) in
+blocks of 256 steps that continue one (steps, d) draw, so the block size
+does not change any path.  The drifts evaluate each of the d(d-1)/2 pair
+terms once into a (d, paths) array and add every row in ascending j, bit
+for bit the row sums of the full pair matrix, so a path does not depend on
+how many paths share its chunk.  Memory is O(block * d * paths) per
+chunk, independent of the number of steps.
 
 The fractional (H > 1/2) systems are not integrated; only their explicit
 drift coefficients are exposed, the Skorohod noise terms being out of
@@ -90,53 +91,49 @@ def nudge_apart(positions) -> np.ndarray:
     return x
 
 
-def _differences(x: np.ndarray) -> np.ndarray:
-    """x_i - x_j over particle-major x, shape (d, d, paths), with inf on the
-    diagonal so that pair terms divided by it vanish there."""
-    d = len(x)
-    diff = x[:, None] - x[None, :]
-    diff.reshape(d * d, -1)[:: d + 1] = np.inf
-    return diff
-
-
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """sum_j terms[i, j] of a (d, d, paths) array, added in ascending j
-    onto 0.0.  numpy's sum picks its order from shape and strides; a fixed
-    order keeps a path independent of how many paths share its chunk."""
-    out = 0.0 + terms[:, 0]
-    for j in range(1, len(terms)):
-        out += terms[:, j]
+def _pair_sums(x: np.ndarray, term) -> np.ndarray:
+    """sum_{j != i} term(x_i, x_j) for a term antisymmetric in IEEE arithmetic:
+    each pair i < j is evaluated once, added to row i and subtracted from row
+    j, so every row is added in ascending j onto 0.0, an order np.sum lacks."""
+    out = np.zeros(x.shape)
+    for j in range(1, len(x)):
+        for i in range(j):
+            t = term(x[i], x[j])
+            out[i] += t
+            out[j] -= t
     return out
 
 
 def _dyson_drift(x: np.ndarray) -> np.ndarray:
-    diff = _differences(x)
-    return _row_sums(np.divide(1.0, diff, out=diff))
+    return _pair_sums(x, lambda a, b: 1.0 / (a - b))
 
 
 def _wishart_drift(x: np.ndarray, n: int) -> np.ndarray:
-    total = x[:, None] + x[None, :]
-    total /= _differences(x)
-    out = _row_sums(total)
-    out += n
-    return out
+    return _pair_sums(x, lambda a, b: (a + b) / (a - b)) + n
 
 
 def _min_gap(x: np.ndarray) -> np.ndarray:
     """Smallest gap per path; NaN when a position is NaN."""
     if len(x) < 2:
         return np.full(x.shape[1:], np.inf)
-    return (x[1:] - x[:-1]).min(axis=0)
+    return _fold(np.minimum, x[1:] - x[:-1])
 
 
-def _advance(x, dt, dw, depth, drift_fn, diffusion_fn, reflect):
+def _fold(ufunc, rows: np.ndarray) -> np.ndarray:
+    """ufunc down the rows, first row first: cheaper than an axis-0 reduce."""
+    out = rows[0]
+    for i in range(1, len(rows)):
+        out = ufunc(out, rows[i])
+    return out
+
+
+def _advance(x, gap, dt, dw, depth, *model):
     """Vectorized Euler step with recursive halving on the bad subset.
 
-    x and dw are particle-major, shape (d, paths).  Returns (y, bad);
-    columns still bad at depth 0 carry whatever the last attempt produced
-    and must be treated as broken by the caller.  Callers run it under
-    np.errstate(invalid="ignore"): a NaN column is reported as bad.
-    """
+    x and dw have shape (d, paths), gap is _min_gap(x), model is (drift_fn,
+    diffusion_fn, reflect).  Returns (y, bad, _min_gap(y)); columns still
+    bad at depth 0 are broken.  Run under np.errstate(invalid="ignore")."""
+    drift_fn, diffusion_fn, reflect = model
     drift = drift_fn(x)
     drift *= dt
     y = diffusion_fn(x, dw)
@@ -144,25 +141,29 @@ def _advance(x, dt, dw, depth, drift_fn, diffusion_fn, reflect):
     y += drift
     if reflect:
         np.abs(y, out=y)
+    gap_y = _min_gap(y)
     # NaN columns must count as crossed, so negate "smallest gap positive"
-    crossed = ~(_min_gap(y) > 0)
+    bad = ~(gap_y > 0.0)
+    if depth <= 0:
+        return y, bad, gap_y
     # max |dt * drift| is dt * max |drift| exactly: rounding is monotone
-    unstable = np.abs(drift, out=drift).max(axis=0) > _min_gap(x)
-    bad = crossed | unstable
-    if depth <= 0 or not bad.any():
-        return y, crossed
-    half = dw[:, bad] / 2
-    y1, bad1 = _advance(x[:, bad], dt / 2, half, depth - 1, drift_fn, diffusion_fn, reflect)
-    # columns that already failed the first half are broken for good; only
-    # the survivors take the second half
-    alive = ~bad1
-    if alive.any():
-        y1[:, alive], bad1[alive] = _advance(
-            y1[:, alive], dt / 2, half[:, alive], depth - 1, drift_fn, diffusion_fn, reflect
+    bad |= _fold(np.maximum, np.abs(drift, out=drift)) > gap
+    (redo,) = bad.nonzero()
+    if not len(redo):
+        return y, bad, gap_y
+    half = dw[:, redo] / 2
+    y1, bad1, gap1 = _advance(x[:, redo], gap[redo], dt / 2, half, depth - 1, *model)
+    # columns that fail the first half are broken for good: no second half
+    (alive,) = (~bad1).nonzero()
+    if len(alive) == len(redo):
+        y1, bad1, gap1 = _advance(y1, gap1, dt / 2, half, depth - 1, *model)
+    elif len(alive):
+        y1[:, alive], bad1[alive], gap1[alive] = _advance(
+            y1[:, alive], gap1[alive], dt / 2, half[:, alive], depth - 1, *model
         )
-    y[:, bad] = y1
-    crossed[bad] = bad1  # crossed is False outside bad
-    return y, crossed
+    # bad was True exactly on redo: now it marks the columns whose halves crossed
+    y[:, redo], bad[redo], gap_y[redo] = y1, bad1, gap1
+    return y, bad, gap_y
 
 
 def _dyson_diffusion(beta):
@@ -171,8 +172,7 @@ def _dyson_diffusion(beta):
 
 
 def _wishart_diffusion(x, dw):
-    out = np.clip(x, 0.0, None)
-    np.sqrt(out, out=out)
+    out = np.sqrt(np.maximum(x, 0.0))
     out *= 2.0
     out *= dw
     return out
@@ -206,6 +206,7 @@ def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect):
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     d = len(x0)
+    model = (drift_fn, diffusion_fn, reflect)
     dts = _dt_schedule(x0, t1, n_steps, drift_fn)
     sqrt_dts = np.sqrt(dts)
     block = min(_BLOCK_STEPS, len(dts))
@@ -217,6 +218,7 @@ def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect):
         streams = [substream(seed, DOMAIN_SDE, p) for p in range(lo, hi)]
         noise = np.empty((block, d, hi - lo))
         x = np.repeat(x0[:, None], hi - lo, axis=1)
+        gap = _min_gap(x)
         dead = np.zeros(hi - lo, dtype=bool)
         with np.errstate(invalid="ignore"):
             for k0 in range(0, len(dts), block):
@@ -225,15 +227,13 @@ def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect):
                 for j, g in enumerate(streams):
                     noise[:nb, :, j] = g.standard_normal((nb, d))
                 noise[:nb] *= sqrt_dts[k0 : k0 + nb, None, None]
-                for k, dt in enumerate(dts[k0 : k0 + nb]):
-                    y, bad = _advance(
-                        x, dt, noise[k], _MAX_HALVINGS, drift_fn, diffusion_fn, reflect
-                    )
-                    frozen = dead | bad
-                    if frozen.any():
-                        y[:, frozen] = x[:, frozen]  # broken paths keep their last valid state
-                        dead = frozen
-                    x = y
+                for k, dt in enumerate(dts[k0 : k0 + nb].tolist()):
+                    y, bad, gap_y = _advance(x, gap, dt, noise[k], _MAX_HALVINGS, *model)
+                    dead |= bad  # broken paths keep their last valid state
+                    if np.count_nonzero(dead):
+                        np.copyto(y, x, where=dead)
+                        np.copyto(gap_y, gap, where=dead)
+                    x, gap = y, gap_y
         out[lo:hi] = x.T
         broken[lo:hi] = dead
     return out, broken

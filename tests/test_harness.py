@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -628,6 +629,25 @@ def test_cli_sde_csv(tmp_path, capsys):
     summary = (tmp_path / "paths.summary.csv").read_text().splitlines()
     assert summary[0] == "statistic,x1,x2"
     assert summary[1].startswith("mean,")
+
+
+def test_cli_sde_every_path_broken_writes_null(tmp_path, capsys, monkeypatch):
+    # with no halving a start this close breaks every path: the statistics
+    # are undefined, so the JSON carries null (NaN is not JSON) and the
+    # summary CSV an empty field, without numpy's empty-slice warnings
+    monkeypatch.setattr("eigencollide.sde._MAX_HALVINGS", 0)
+    out = tmp_path / "paths.csv"
+    flags = ["sde", "--x0", "0,0.0001", "--steps", "3", "--paths", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(flags + ["--out", str(out), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert cli(flags) == 0
+    assert "terminal mean undefined" in capsys.readouterr().out
+    assert payload["broken"] == 3
+    assert payload["mean"] == [None, None] and payload["var"] == [None, None]
+    summary = (tmp_path / "paths.summary.csv").read_text().splitlines()
+    assert summary[1:] == ["mean,,", "var,,", "broken,3,3"]
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ def step(xs, dt, noise, beta=1, n=None, depth=sde._MAX_HALVINGS):
     else:
         model = (lambda y: sde._wishart_drift(y, n), sde._wishart_diffusion, True)
     with np.errstate(invalid="ignore"):
-        y, bad = sde._advance(x, dt, dw, depth, *model)
+        y, bad, _ = sde._advance(x, sde._min_gap(x), dt, dw, depth, *model)
     return y[:, 0], bool(bad[0])
 
 
@@ -195,9 +195,9 @@ def _count_halvings(monkeypatch):
     calls = []
     advance = sde._advance
 
-    def spy(x, dt, dw, depth, *rest):
+    def spy(x, gap, dt, dw, depth, *rest):
         calls.append(depth < sde._MAX_HALVINGS)
-        return advance(x, dt, dw, depth, *rest)
+        return advance(x, gap, dt, dw, depth, *rest)
 
     monkeypatch.setattr(sde, "_advance", spy)
     return calls
@@ -262,6 +262,84 @@ def test_broken_paths_pinned(monkeypatch):
         [-0.1950597552755255, 0.6338762779966692],
         [0.0190646315786984, 2.3765545503421084],
     ]
+
+
+def _carried_gaps(monkeypatch):
+    """Spy on `_advance`, recursion included: one entry per call, True when
+    the gap passed in and the gap returned are bitwise _min_gap of the
+    state they go with."""
+    checks = []
+    advance = sde._advance
+
+    def spy(x, gap, *rest):
+        y, bad, gap_y = advance(x, gap, *rest)
+        checks.append(
+            gap.tobytes() == sde._min_gap(x).tobytes()
+            and gap_y.tobytes() == sde._min_gap(y).tobytes()
+        )
+        return y, bad, gap_y
+
+    monkeypatch.setattr(sde, "_advance", spy)
+    return checks
+
+
+def test_carried_gap_is_the_min_gap_at_every_call(monkeypatch):
+    halved = _count_halvings(monkeypatch)  # the gap spy wraps this one
+    checks = _carried_gaps(monkeypatch)
+    term, _ = dyson_paths(np.zeros(2), 1.0, 200, 1, 17, 3)
+    assert term.tolist() == DYSON_PINS[2, 1]
+    args = ((0.0, 0.0), 200, 3, 43, 3)
+    term, _ = wishart_paths(np.array(args[0]), 1.0, *args[1:])
+    assert term.tolist() == WISHART_PINS[args]
+    assert any(halved)
+    monkeypatch.setattr(sde, "_MAX_HALVINGS", 1)  # frozen paths restore their gap
+    _, broken = dyson_paths(np.array([0.0, 0.05]), 1.0, 10, 1, 4, 6)
+    assert broken.any()
+    assert len(checks) > 400 and all(checks)
+
+
+def _reference_pair_sums(terms):
+    """Row sums of a (d, d, paths) pair-term array in ascending j onto 0.0:
+    the drifts as a full inf-diagonal difference matrix computed them."""
+    out = 0.0 + terms[:, 0]
+    for j in range(1, len(terms)):
+        out += terms[:, j]
+    return out
+
+
+def _reference_differences(x):
+    d = len(x)
+    diff = x[:, None] - x[None, :]
+    diff.reshape(d * d, -1)[:: d + 1] = np.inf
+    return diff
+
+
+def _drift_states(d, zeros):
+    """Particle-major sorted states over 64 paths with gaps from O(1) down
+    to 1e-12, optionally with the lowest particle at 0 on half the paths."""
+    rng = np.random.default_rng(100 + d)
+    gaps = 10.0 ** rng.uniform(-12, 0.5, size=(d, 64))
+    x = np.cumsum(gaps, axis=0) - (0.0 if zeros else gaps[:1] * d)
+    if zeros:
+        x[:, ::2] -= x[0, ::2]
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_drifts_bitwise_equal_to_full_matrix_formula(d):
+    x = _drift_states(d, zeros=False)
+    want = _reference_pair_sums(np.divide(1.0, _reference_differences(x)))
+    got = sde._dyson_drift(x)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    w = _drift_states(d, zeros=True)
+    assert (w[0, ::2] == 0).all() and (np.diff(w, axis=0) > 0).all()
+    total = w[:, None] + w[None, :]
+    total /= _reference_differences(w)
+    for n in (d, d + 3):
+        want = _reference_pair_sums(total)
+        want += n
+        got = sde._wishart_drift(w, n)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
