@@ -92,15 +92,16 @@ def nudge_apart(positions) -> np.ndarray:
 
 
 def _pair_sums(x: np.ndarray, term) -> np.ndarray:
-    """sum_{j != i} term(x_i, x_j) for a term antisymmetric in IEEE arithmetic:
-    each pair i < j is evaluated once, added to row i and subtracted from row
-    j, so every row is added in ascending j onto 0.0, an order np.sum lacks."""
+    """sum_{j != i} term(x_i, x_j) for a term antisymmetric in IEEE arithmetic,
+    every row added in ascending j onto 0.0, an order np.sum lacks.  Pass j
+    evaluates the pairs (i < j, j) once, adds them to rows i as their term j
+    and subtracts them from row j, still 0.0, in ascending i: subtraction
+    does not reorder, so np.subtract.reduce keeps that order."""
     out = np.zeros(x.shape)
     for j in range(1, len(x)):
-        for i in range(j):
-            t = term(x[i], x[j])
-            out[i] += t
-            out[j] -= t
+        t = term(x[:j], x[j : j + 1])
+        out[:j] += t
+        np.subtract.reduce(t, axis=0, initial=0.0, out=out[j])
     return out
 
 
@@ -120,7 +121,8 @@ def _min_gap(x: np.ndarray) -> np.ndarray:
 
 
 def _fold(ufunc, rows: np.ndarray) -> np.ndarray:
-    """ufunc down the rows, first row first: cheaper than an axis-0 reduce."""
+    """ufunc down the rows, first row first: on the runners' few rows this
+    beats an axis-0 reduce, and a single row needs no call at all."""
     out = rows[0]
     for i in range(1, len(rows)):
         out = ufunc(out, rows[i])
@@ -155,9 +157,7 @@ def _advance(x, gap, dt, dw, depth, *model):
     y1, bad1, gap1 = _advance(x[:, redo], gap[redo], dt / 2, half, depth - 1, *model)
     # columns that fail the first half are broken for good: no second half
     (alive,) = (~bad1).nonzero()
-    if len(alive) == len(redo):
-        y1, bad1, gap1 = _advance(y1, gap1, dt / 2, half, depth - 1, *model)
-    elif len(alive):
+    if len(alive):
         y1[:, alive], bad1[alive], gap1[alive] = _advance(
             y1[:, alive], gap1[alive], dt / 2, half[:, alive], depth - 1, *model
         )

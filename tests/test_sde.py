@@ -325,12 +325,16 @@ def _drift_states(d, zeros):
     return x
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
 def test_drifts_bitwise_equal_to_full_matrix_formula(d):
     x = _drift_states(d, zeros=False)
     want = _reference_pair_sums(np.divide(1.0, _reference_differences(x)))
     got = sde._dyson_drift(x)
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    # one path at a time, as the fractional coefficients pass it: a reduction
+    # over a single contiguous column is where np.sum would change its order
+    for p in range(x.shape[1]):
+        assert sde._dyson_drift(x[:, p : p + 1]).tobytes() == want[:, p : p + 1].tobytes()
     w = _drift_states(d, zeros=True)
     assert (w[0, ::2] == 0).all() and (np.diff(w, axis=0) > 0).all()
     total = w[:, None] + w[None, :]
@@ -340,6 +344,8 @@ def test_drifts_bitwise_equal_to_full_matrix_formula(d):
         want += n
         got = sde._wishart_drift(w, n)
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        for p in range(w.shape[1]):
+            assert sde._wishart_drift(w[:, p : p + 1], n).tobytes() == want[:, p : p + 1].tobytes()
 
 
 @pytest.mark.parametrize(
