@@ -12,26 +12,36 @@ realization whichever of them draws it.  Three methods, all exact:
   per line.  A block draws only its own rows of normals and carries the
   last row of the axis-0 cumulative sum into the next block, so memory
   follows the block, not the grid.
-* A fractional 1-d grid on a lattice through 0 of at most `_MAX_POINTS`
-  points: circulant embedding of the increment covariance (Davies-Harte,
-  real FFT), drawn for the lattice from 0 and cut to the grid.
+* A fractional 1-d grid on a lattice through 0 whose draw, about
+  `_LATTICE_STEP_BYTES` per lattice step from 0 to the grid end, fits in
+  `_MAX_LATTICE_BYTES` (1 GiB): circulant embedding of the increment
+  covariance (Davies-Harte, real FFT), drawn for the lattice from 0 and
+  cut to the grid.
 * Everything else: the sheet's covariance factorizes over axes, so the
   draw applies one cached per-axis Cholesky factor along each tensor
   dimension (the dense path; H = 1/2 axes still take the cumulative
   sum).  It costs n_j^3 once per axis plus (prod n_j) * sum_j c_j per
-  draw, with c_j = 1 on H = 1/2 axes and n_j otherwise.  The dense path
-  also takes a 1-d grid whose circulant embedding fails.
+  draw, with c_j = 1 on H = 1/2 axes and n_j otherwise.
 
 The last two draw the whole grid and slice it: a dense factor applied to
 a row block goes through BLAS, whose blocking, and so its rounding,
 depends on the row count, and the draw would no longer be the same bit
-for bit.
+for bit.  The method follows from (grid, H) alone: a circulant embedding
+with a negative eigenvalue, or an axis covariance without a Cholesky
+factor, raises FactorizationError rather than fall back to another
+method.
 
 `_sampler_problems` owns the size limits: two points per axis, at most
 `_MAX_DENSE` points on an axis with a dense factor, and on a fractional
-1-d grid at most `_MAX_DENSE` points off a lattice through 0 (a lattice
-of more than `_MAX_POINTS` points counts as none).  `_sheet_rows` raises
-its list before drawing, and config validation reports it.
+1-d grid at most `_MAX_DENSE` points unless it takes Davies-Harte.
+Nothing it checks allocates, so config validation reports its list
+before any draw.
+
+`_draw_plan` checks a (kernel, grid) once and caches what every draw of
+it needs: the method, each axis's Brownian weights shaped to broadcast
+along it or its dense factor, and the circulant spectrum.  A refused grid
+raises there and is never cached, so every draw of it is refused.  An
+entry draw is then its stream, its normals and the plan's arithmetic.
 
 Sampling uses the splittable streams of `eigencollide.rng`; a fixed
 (seed, key) always reproduces the same values bit for bit.
@@ -42,7 +52,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +73,14 @@ __all__ = [
     "verify_assumptions",
 ]
 
-# Dense-path fallbacks refuse grids beyond this many points per axis.
+# Dense per-axis factors refuse axes beyond this many points.
 _MAX_DENSE = 4096
 # A TimeGrid refuses more points than this in total.
 _MAX_POINTS = 1 << 26
+# bytes a Davies-Harte draw holds per lattice step from 0, and their cap:
+# the memory budget of a path walk (`matfield._MAX_PATH_BYTES`)
+_LATTICE_STEP_BYTES = 64
+_MAX_LATTICE_BYTES = 1 << 30
 # grid pairs per row block of the assumption scan
 _SCAN_PAIRS = 1 << 18
 
@@ -145,6 +159,14 @@ class KernelSpec:
     def ndim(self) -> int:
         return len(self.hurst)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashing the exponents' Fractions would cost every draw's plan lookup
+        return hash(self.hurst)
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -194,31 +216,22 @@ def _pair_cov(spec: KernelSpec, grid: TimeGrid, p: np.ndarray, q: np.ndarray) ->
     return out
 
 
-def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating a diagonal jitter up to 3 times."""
-    n = cov.shape[0]
-    base = 1e-12 * np.trace(cov) / n
-    for jitter in (0.0, base, 10 * base, 100 * base, 1000 * base):
-        try:
-            return np.linalg.cholesky(
-                cov if jitter == 0.0 else cov + jitter * np.eye(n)
-            )
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationError(
-        "covariance is not PSD even after jitter escalation (n=%d)" % n
-    )
-
-
 @lru_cache(maxsize=64)
 def _axis_factor(h: float, a: float, b: float, n: int) -> np.ndarray:
+    """Lower Cholesky factor of the H = h covariance on n points of [a, b];
+    a covariance without one raises FactorizationError."""
     ax = np.linspace(a, b, n)
-    factor = _chol_with_jitter(_axis_cov(h, ax[:, None], ax[None, :]))
+    try:
+        factor = np.linalg.cholesky(_axis_cov(h, ax[:, None], ax[None, :]))
+    except np.linalg.LinAlgError:
+        raise FactorizationError(
+            "the H = %g covariance of %d points on [%g, %g] has no Cholesky factor"
+            % (h, n, a, b)
+        ) from None
     factor.flags.writeable = False
     return factor
 
 
-@lru_cache(maxsize=64)
 def _brownian_weights(a: float, b: float, n: int) -> np.ndarray:
     """Column weights sqrt(t_k - t_{k-1}), t_0 = 0, of the exact Cholesky
     factor of min(s, t) on the grid: L[i, k] = w[k] for k <= i."""
@@ -233,8 +246,8 @@ def _fgn_sqrt_eigs(h: float, step: float, n_incr: int) -> np.ndarray | None:
     """sqrt eigenvalues of the circulant embedding of fGn covariance, the
     first n_incr + 1 of the 2 n_incr (the rest mirror them).
 
-    Returns None when the embedding has a negative eigenvalue, which
-    signals the caller to fall back to a dense factorization.
+    Returns None when the embedding has a negative eigenvalue, which the
+    caller refuses.
     """
     k = np.arange(n_incr + 1, dtype=float)
     gamma = (
@@ -270,15 +283,33 @@ def _fgn_draw(sqrt_eigs: np.ndarray, n_incr: int, rng: np.random.Generator) -> n
 
 def _lattice_presteps(grid: TimeGrid) -> int | None:
     """Number of lattice steps from 0 to the grid start, or None if the
-    grid is not commensurate with a lattice through the origin or that
-    lattice, from 0 to the grid end, has more than `_MAX_POINTS` points."""
+    grid is not commensurate with a lattice through the origin."""
     (a, b), n = grid.intervals[0], grid.shape[0]
     step = (b - a) / (n - 1)
     m = a / step
     m_int = round(m)
-    if abs(m - m_int) > 1e-9 * max(1.0, m) or m_int + n > _MAX_POINTS:
+    if abs(m - m_int) > 1e-9 * max(1.0, m):
         return None
     return m_int
+
+
+def _lattice_bytes(grid: TimeGrid) -> int | None:
+    """About the bytes a Davies-Harte draw of the 1-d `grid` holds,
+    `_LATTICE_STEP_BYTES` per step of its lattice from 0 to the grid end,
+    or None if the grid is off every lattice through 0."""
+    presteps = _lattice_presteps(grid)
+    if presteps is None:
+        return None
+    return (presteps + grid.shape[0]) * _LATTICE_STEP_BYTES
+
+
+def _takes_davies_harte(hurst: Sequence[float], grid: TimeGrid) -> bool:
+    """Whether `_sheet_rows` draws a grid by Davies-Harte: a fractional 1-d
+    grid on a lattice through 0 of at most `_MAX_LATTICE_BYTES`."""
+    if grid.ndim != 1 or hurst[0] == 0.5:
+        return False
+    nbytes = _lattice_bytes(grid)
+    return nbytes is not None and nbytes <= _MAX_LATTICE_BYTES
 
 
 _TOO_FEW_POINTS = "resolution entries must be >= 2 (every sampler needs two points per axis)"
@@ -287,17 +318,21 @@ _TOO_FEW_POINTS = "resolution entries must be >= 2 (every sampler needs two poin
 def _sampler_problems(hurst: Sequence[float], grid: TimeGrid) -> list[str]:
     """What keeps `_sheet_rows` from drawing a field with exponents `hurst`
     on `grid`, in config vocabulary.  It raises this list; config
-    validation reports it."""
+    validation reports it.  Nothing here allocates."""
     if any(n < 2 for n in grid.shape):
         return [_TOO_FEW_POINTS]
     if grid.ndim == 1 and hurst[0] != 0.5:
         n = grid.shape[0]
-        if n > _MAX_DENSE and _lattice_presteps(grid) is None:
-            return [
-                "a 1-d grid off the lattice through 0 takes the dense fallback, "
-                "at most %d points, got %d" % (_MAX_DENSE, n)
-            ]
-        return []
+        if n <= _MAX_DENSE or _takes_davies_harte(hurst, grid):
+            return []
+        problem = ("a 1-d grid off the lattice through 0 takes the dense fallback, "
+                   "at most %d points, got %d" % (_MAX_DENSE, n))
+        nbytes = _lattice_bytes(grid)
+        if nbytes is not None:
+            problem = ("H = %g: the Davies-Harte draw of its lattice through 0 would take "
+                       "%d bytes, over the budget of %d bytes, so the grid counts as off "
+                       "it; " % (hurst[0], nbytes, _MAX_LATTICE_BYTES)) + problem
+        return [problem]
     return [
         "axis %d (H = %g) has %d points, too many for a dense per-axis "
         "factorization (at most %d)" % (j, h, n, _MAX_DENSE)
@@ -320,28 +355,70 @@ def _streams_by_rows(hurst: Sequence[float]) -> bool:
     return all(h == 0.5 for h in hurst)
 
 
-def _davies_harte(
-    hurst: Sequence[float], grid: TimeGrid, rng: np.random.Generator
-) -> np.ndarray | None:
-    """The Davies-Harte draw of a fractional 1-d grid on the lattice
-    through 0, or None for any other grid and when the embedding fails,
-    which `_sheet_rows` draws by the dense path."""
-    if grid.ndim != 1 or hurst[0] == 0.5:
-        return None
-    presteps = _lattice_presteps(grid)
-    if presteps is None:
-        return None
-    (a, b), n = grid.intervals[0], grid.shape[0]
-    n_incr = presteps + n - 1
-    sqrt_eigs = _fgn_sqrt_eigs(hurst[0], (b - a) / (n - 1), n_incr)
-    if sqrt_eigs is None:
-        if n > _MAX_DENSE:
+@dataclass(frozen=True, eq=False)
+class _DrawPlan:
+    """How `_sheet_rows` draws one kernel on one grid, made by `_draw_plan`.
+
+    `by_rows` says whether each block draws its own rows (every axis
+    H = 1/2).  Per axis, `weights` holds the Brownian weights shaped to
+    broadcast along it, None on a dense axis, and `factors` the dense
+    Cholesky factor, None on an H = 1/2 axis.  A Davies-Harte grid holds
+    its lattice steps before the grid start and circulant spectrum instead.
+    """
+
+    shape: tuple[int, ...]
+    by_rows: bool
+    weights: tuple = ()
+    factors: tuple = ()
+    presteps: int = 0
+    sqrt_eigs: np.ndarray | None = None
+
+    def whole(self, rng: np.random.Generator) -> np.ndarray:
+        """The draw of a grid that `_sheet_rows` draws whole: Davies-Harte
+        or the per-axis factors."""
+        if self.sqrt_eigs is not None:
+            n_incr = self.presteps + self.shape[0] - 1
+            fgn = _fgn_draw(self.sqrt_eigs, n_incr, rng)
+            return np.concatenate([[0.0], np.cumsum(fgn)])[self.presteps :].copy()
+        values = rng.standard_normal(self.shape)
+        for j, (w, factor) in enumerate(zip(self.weights, self.factors)):
+            if factor is None:
+                values *= w
+                np.add.accumulate(values, axis=j, out=values)  # cumsum
+            else:
+                values = np.moveaxis(np.tensordot(factor, values, axes=(1, j)), 0, j)
+        return np.ascontiguousarray(values)
+
+
+@lru_cache(maxsize=64)
+def _draw_plan(spec: KernelSpec, grid: TimeGrid) -> _DrawPlan:
+    """The plan of every draw of `spec` on `grid`, after refusing the grid
+    as `_sampler_problems` does.  A refusal raises, so no plan is cached
+    for it and every later draw is refused again."""
+    if grid.ndim != spec.ndim:
+        raise ValueError("grid and kernel dimension mismatch")
+    hurst = spec.hurst.as_floats()
+    _refuse_draw(_sampler_problems(hurst, grid))
+    if _takes_davies_harte(hurst, grid):
+        (a, b), n = grid.intervals[0], grid.shape[0]
+        presteps = _lattice_presteps(grid)
+        sqrt_eigs = _fgn_sqrt_eigs(hurst[0], (b - a) / (n - 1), presteps + n - 1)
+        if sqrt_eigs is None:
             raise FactorizationError(
-                "no circulant embedding and grid too large (%d) for dense fallback" % n
+                "the circulant embedding of H = %g on %d points of [%g, %g] has a "
+                "negative eigenvalue" % (hurst[0], n, a, b)
             )
-        return None
-    path = np.concatenate([[0.0], np.cumsum(_fgn_draw(sqrt_eigs, n_incr, rng))])
-    return path[presteps:].copy()
+        return _DrawPlan(grid.shape, False, presteps=presteps, sqrt_eigs=sqrt_eigs)
+    weights, factors = [], []
+    for j, (h, (a, b), n) in enumerate(zip(hurst, grid.intervals, grid.shape)):
+        if h == 0.5:
+            w = _brownian_weights(a, b, n)
+            weights.append(w.reshape((-1,) + (1,) * (grid.ndim - 1 - j)))
+            factors.append(None)
+        else:
+            weights.append(None)
+            factors.append(_axis_factor(h, a, b, n))
+    return _DrawPlan(grid.shape, _streams_by_rows(hurst), tuple(weights), tuple(factors))
 
 
 def _as_exponent(H) -> float:
@@ -365,8 +442,8 @@ def sample_sheet(
 ) -> FieldSample:
     """One fractional-Brownian-sheet draw on the grid.
 
-    The per-axis covariance factors and circulant spectra are cached, so
-    repeated draws on the same grid only pay the draw itself.  This is the
+    The draw plan of (spec, grid) is cached (`_draw_plan`), so repeated
+    draws on the same grid only pay the draw itself.  This is the
     one-block case of `_sheet_rows`.
     """
     return FieldSample(next(_sheet_rows(spec, grid, seed, key, grid.shape[0])))
@@ -387,39 +464,29 @@ def _sheet_rows(
     0 is drawn whole by Davies-Harte and sliced.  Any other sheet is drawn
     whole by the dense factors and sliced: a dense factor applied to a row
     block goes through BLAS, whose blocking, and so its rounding, depends
-    on the row count.
+    on the row count.  The grid is checked, and the method, weights and
+    factors looked up, once per (kernel, grid) by `_draw_plan`.
     """
-    if grid.ndim != spec.ndim:
-        raise ValueError("grid and kernel dimension mismatch")
-    hurst = spec.hurst.as_floats()
-    _refuse_draw(_sampler_problems(hurst, grid))
+    plan = _draw_plan(spec, grid)
     rng = substream(seed, DOMAIN_FIELD, *key)
     n0 = grid.shape[0]
-    values = _davies_harte(hurst, grid, rng)
-    if values is not None:
+    if not plan.by_rows:
+        values = plan.whole(rng)
         yield from (values[row : row + rows] for row in range(0, n0, rows))
         return
-    step = rows if _streams_by_rows(hurst) else n0
-    for start in range(0, n0, step):
-        values = rng.standard_normal((min(step, n0 - start),) + grid.shape[1:])
-        for j, h in enumerate(hurst):
-            a, b = grid.intervals[j]
-            if h == 0.5:
-                w = _brownian_weights(a, b, grid.shape[j])
-                if j == 0:
-                    w = w[start : start + len(values)]
-                values *= w.reshape((-1,) + (1,) * (grid.ndim - 1 - j))
-                if j == 0 and start:
-                    values[:1] += carry
-                np.cumsum(values, axis=j, out=values)
-                if j == 0 and start + step < n0:  # into the next block
-                    carry = values[-1:].copy()
-                continue
-            factor = _axis_factor(h, a, b, grid.shape[j])
-            values = np.moveaxis(np.tensordot(factor, values, axes=(1, j)), 0, j)
-        values = np.ascontiguousarray(values)
-        for row in range(0, len(values), rows):
-            yield values[row : row + rows]
+    w0, tail = plan.weights[0], grid.shape[1:]
+    for start in range(0, n0, rows):
+        values = rng.standard_normal((min(rows, n0 - start),) + tail)
+        values *= w0[start : start + rows]
+        if start:
+            values[:1] += carry
+        np.add.accumulate(values, axis=0, out=values)  # cumsum, without its wrapper
+        if start + rows < n0:  # into the next block
+            carry = values[-1:].copy()
+        for j in range(1, len(plan.weights)):
+            values *= plan.weights[j]
+            np.add.accumulate(values, axis=j, out=values)
+        yield values
 
 
 @dataclass(frozen=True)

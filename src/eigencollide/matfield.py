@@ -24,7 +24,10 @@ values `assemble_selfadjoint` stores, and no matrix is built.  A block
 draws only its own rows on a grid whose axes all have H = 1/2
 (`gfield._streams_by_rows`), a 1-d Brownian motion included; any other
 grid is drawn whole per entry and sliced.  `gfield._sheet_rows` decides
-how each entry is drawn.
+how each entry is drawn, from a draw plan it checks and builds once per
+(kernel, grid) (`gfield._draw_plan`): every entry of every path on one
+grid shares it, so an entry draw is its stream, its normals and the
+plan's arithmetic.
 
 `_walk_problems` owns the limits of a walk: its sampler's
 (`gfield._sampler_problems`) and the memory budget of `_MAX_PATH_BYTES`
@@ -60,6 +63,7 @@ __all__ = [
 _PART_REAL = 0
 _PART_IMAG = 1
 _INVERTIBILITY_RTOL = 1e-10
+_SQRT2 = math.sqrt(2.0)  # the scale of a diagonal entry, bitwise np.sqrt(2.0)
 # most bytes of matrices (points x d1 x d2 x itemsize) a walk over a path
 # holds at once; its spectra and temporaries take a few times more
 _MAX_PATH_BYTES = 1 << 30
@@ -161,11 +165,10 @@ def _budget_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]
     `_MAX_PATH_BYTES`: one block on a grid that streams by rows (every
     axis H = 1/2, on any number of axes), else the whole path, since its
     entry draws are whole."""
-    n0 = grid.shape[0]
-    if _streams_by_rows(spec.kernel.hurst.as_floats()):
-        n0 = min(rows, n0)
     d1, d2 = spec.dims
-    nbytes = n0 * math.prod(grid.shape[1:]) * d1 * d2 * np.dtype(spec.dtype).itemsize
+    nbytes = math.prod(grid.shape) * d1 * d2 * np.dtype(spec.dtype).itemsize
+    if nbytes > _MAX_PATH_BYTES and _streams_by_rows(spec.kernel.hurst.as_floats()):
+        nbytes = nbytes // grid.shape[0] * min(rows, grid.shape[0])
     if nbytes <= _MAX_PATH_BYTES:
         return []
     return ["the matrices a path walk holds at once take %d bytes, over the budget of %d bytes"
@@ -221,7 +224,7 @@ def _fill_selfadjoint(spec: EnsembleSpec, shape: tuple[int, ...], draw) -> np.nd
         for j in range(i, d):
             xi = draw(i, j, _PART_REAL)
             if i == j:
-                np.multiply(xi, np.sqrt(2.0), out=out[..., i, i])
+                np.multiply(xi, _SQRT2, out=out[..., i, i])
                 continue
             if spec.beta == 2:
                 eta = draw(i, j, _PART_IMAG)
@@ -329,11 +332,11 @@ def _plane_entries(draw, beta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     three arrays are bitwise the diagonal and the modulus of the
     off-diagonal entry of its matrices; no (..., 2, 2) tensor is built.
     """
-    a = draw(0, 0, _PART_REAL) * np.sqrt(2.0)
+    a = draw(0, 0, _PART_REAL) * _SQRT2
     b = draw(0, 1, _PART_REAL)
     if beta == 2:
         b = b + 1j * draw(0, 1, _PART_IMAG)  # as assembled, so |b| is bitwise the stored modulus
-    c = draw(1, 1, _PART_REAL) * np.sqrt(2.0)
+    c = draw(1, 1, _PART_REAL) * _SQRT2
     return a, c, np.abs(b)
 
 

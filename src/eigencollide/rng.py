@@ -27,11 +27,14 @@ def _seed_problems(seed: int) -> list[str]:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent, reproducible generator for (seed, key path)."""
+    """Independent, reproducible generator for (seed, key path).
+
+    Key components are non-negative integers; SeedSequence hashes a numpy
+    integer as the Python int of the same value."""
     problems = _seed_problems(seed)
     if problems:
         raise ValueError("; ".join(problems))
-    if any(k < 0 for k in key):
+    if key and min(key) < 0:
         raise ValueError("stream key components must be non-negative")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

@@ -33,10 +33,19 @@ particle-major, shape (d, paths), plus each path's smallest gap, carried
 from one step's crossing test to the next step's impulse bound.  Path p
 draws its Brownian increments from substream(seed, DOMAIN_SDE, p) in
 blocks of 256 steps that continue one (steps, d) draw, so the block size
-does not change any path.  The drifts evaluate each of the d(d-1)/2 pair
-terms once into a (d, paths) array and add every row in ascending j, bit
-for bit the row sums of the full pair matrix, so a path does not depend on
-how many paths share its chunk.  Memory is O(block * d * paths) per
+does not change any path.  The block is step-major, (256, d, paths): each
+stream's draw lands in one reused (256, d) buffer and is copied into its
+column, so that every step reads a contiguous (d, paths) slice.  (A
+path-major block filled in place reads each step with a stride of one
+stream's block; that measured slower than the copy, more so on many
+paths.)  Rare events cost only when they happen: the broken-path mask is
+updated after a step that returned a bad column, frozen paths are
+restored only once some path broke, and a halved step gathers the
+columns whose first half survived only when some did not.  The drifts
+evaluate each of the d(d-1)/2 pair terms once into a (d, paths) array
+and add every row in ascending j, bit for bit the row sums of the full
+pair matrix, so a path does not depend on how many paths share its
+chunk.  Memory is O(block * d * paths) per
 chunk, independent of the number of steps.
 
 The fractional (H > 1/2) systems are not integrated; only their explicit
@@ -96,9 +105,16 @@ def _pair_sums(x: np.ndarray, term) -> np.ndarray:
     every row added in ascending j onto 0.0, an order np.sum lacks.  Pass j
     evaluates the pairs (i < j, j) once, adds them to rows i as their term j
     and subtracts them from row j, still 0.0, in ascending i: subtraction
-    does not reorder, so np.subtract.reduce keeps that order."""
-    out = np.zeros(x.shape)
-    for j in range(1, len(x)):
+    does not reorder, so np.subtract.reduce keeps that order.  Pass 1 writes
+    rows 0 and 1 as 0.0 + t and 0.0 - t, and row j is first written by its
+    own pass, so no row needs zeroing beforehand."""
+    if len(x) < 2:
+        return np.zeros(x.shape)
+    out = np.empty(x.shape)
+    t = term(x[0], x[1])
+    np.add(0.0, t, out=out[0])
+    np.subtract(0.0, t, out=out[1])
+    for j in range(2, len(x)):
         t = term(x[:j], x[j : j + 1])
         out[:j] += t
         np.subtract.reduce(t, axis=0, initial=0.0, out=out[j])
@@ -110,7 +126,9 @@ def _dyson_drift(x: np.ndarray) -> np.ndarray:
 
 
 def _wishart_drift(x: np.ndarray, n: int) -> np.ndarray:
-    return _pair_sums(x, lambda a, b: (a + b) / (a - b)) + n
+    drift = _pair_sums(x, lambda a, b: (a + b) / (a - b))
+    drift += n
+    return drift
 
 
 def _min_gap(x: np.ndarray) -> np.ndarray:
@@ -150,17 +168,20 @@ def _advance(x, gap, dt, dw, depth, *model):
         return y, bad, gap_y
     # max |dt * drift| is dt * max |drift| exactly: rounding is monotone
     bad |= _fold(np.maximum, np.abs(drift, out=drift)) > gap
-    (redo,) = bad.nonzero()
-    if not len(redo):
+    if not np.count_nonzero(bad):
         return y, bad, gap_y
+    (redo,) = bad.nonzero()
     half = dw[:, redo] / 2
     y1, bad1, gap1 = _advance(x[:, redo], gap[redo], dt / 2, half, depth - 1, *model)
     # columns that fail the first half are broken for good: no second half
-    (alive,) = (~bad1).nonzero()
-    if len(alive):
-        y1[:, alive], bad1[alive], gap1[alive] = _advance(
-            y1[:, alive], gap1[alive], dt / 2, half[:, alive], depth - 1, *model
-        )
+    if not np.count_nonzero(bad1):
+        y1, bad1, gap1 = _advance(y1, gap1, dt / 2, half, depth - 1, *model)
+    else:
+        (alive,) = (~bad1).nonzero()
+        if len(alive):
+            y1[:, alive], bad1[alive], gap1[alive] = _advance(
+                y1[:, alive], gap1[alive], dt / 2, half[:, alive], depth - 1, *model
+            )
     # bad was True exactly on redo: now it marks the columns whose halves crossed
     y[:, redo], bad[redo], gap_y[redo] = y1, bad1, gap1
     return y, bad, gap_y
@@ -217,20 +238,25 @@ def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect):
         hi = min(lo + chunk, n_paths)
         streams = [substream(seed, DOMAIN_SDE, p) for p in range(lo, hi)]
         noise = np.empty((block, d, hi - lo))
+        draw = np.empty((block, d))  # one stream's block, then its column of noise
         x = np.repeat(x0[:, None], hi - lo, axis=1)
         gap = _min_gap(x)
         dead = np.zeros(hi - lo, dtype=bool)
+        any_dead = False
         with np.errstate(invalid="ignore"):
             for k0 in range(0, len(dts), block):
                 nb = min(block, len(dts) - k0)
                 # consecutive draws on a stream continue one (steps, d) draw
-                for j, g in enumerate(streams):
-                    noise[:nb, :, j] = g.standard_normal((nb, d))
+                for g, column in zip(streams, noise.transpose(2, 0, 1)):
+                    g.standard_normal(out=draw[:nb])
+                    column[:nb] = draw[:nb]
                 noise[:nb] *= sqrt_dts[k0 : k0 + nb, None, None]
                 for k, dt in enumerate(dts[k0 : k0 + nb].tolist()):
                     y, bad, gap_y = _advance(x, gap, dt, noise[k], _MAX_HALVINGS, *model)
-                    dead |= bad  # broken paths keep their last valid state
-                    if np.count_nonzero(dead):
+                    if np.count_nonzero(bad):
+                        dead |= bad
+                        any_dead = True
+                    if any_dead:  # broken paths keep their last valid state
                         np.copyto(y, x, where=dead)
                         np.copyto(gap_y, gap, where=dead)
                     x, gap = y, gap_y

@@ -1,5 +1,7 @@
 """Field sampler statistics against the closed-form covariance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -411,6 +413,111 @@ def test_pinned_realizations(draw, idx, values, sumsq):
     flat = draw().values.ravel()
     assert np.allclose(flat[idx], values, rtol=1e-12, atol=0)
     assert np.sum(flat**2) == pytest.approx(sumsq, rel=1e-12)
+
+
+# -- draw plan ----------------------------------------------------------
+
+# sha256 of the block shapes and bytes `_sheet_rows` yields at seed 2024,
+# key (3, 1, 0), recorded before the draw plan existed: the plan moves no bit
+_BLOCK_DIGESTS = {
+    "bm-2pt": ((("1/2",), [(1.0, 2.0)], [2]), {
+        1: "4fe8c7505293977c1813c6db11bef9ade6cb69ab14ee0869f9e3cef720e56d0f",
+        2: "09519d742c1ea948bf59018f6186063c150b4da16429b0cf87b930687f6f068f",
+    }),
+    "bm-1d": ((("1/2",), [(1.0, 2.0)], [50]), {
+        1: "d69f5635350df82b3fb07accfff6e03bbc7d430e1e45d6459bba22df8845261b",
+        7: "d39162d2e269e445e57e2bbc80b65f139bc2c6316cf5edacf069cfb40883538f",
+        50: "58c59e0a9abe15e57e783ef21a0f6d79d0a7f6d5d3e7d186e4f2042db60133a2",
+    }),
+    "bm-2d": ((("1/2", "1/2"), [(1.0, 2.0), (0.5, 3.0)], [40, 9]), {
+        1: "ac745d5a65f52af3a35bf237dc40487e4ca584f9d533990681a87de6b8729cd1",
+        7: "d51cb47734197b0027d02ff203d8137af6b8f9acc952abe2676a9506daa87ec7",
+        40: "ccde2b24d580a954914d11c647d51e852cfc773574cfde1a0c317424956d10b6",
+    }),
+    "bm-3d": ((("1/2", "1/2", "1/2"), [(1.0, 2.0)] * 3, [8, 6, 5]), {
+        1: "a3df3749c137470d95ef48703f3de41c62c7fb7d1f9f47467724c078836123fa",
+        7: "d929e75429e92903525275000374cd3c6d2bf98e9209e78db8314655d1bd87d0",
+        8: "53947032b28596d221dcc76b098ed63a94de7c8ddc6aa1d29fcc4293993dc64f",
+    }),
+    "davies-harte-3/10": ((("3/10",), [(1.0, 2.0)], [33]), {
+        1: "4e90b921d6c93584a5051bd514a12499c3b38663eeeea1772c7b8675b1aaab3c",
+        7: "c7f82a223bb28b2cd7bf0244d5c4e4faf478266c02ae14c8cfc49111731c355a",
+        33: "ad278e04192879e8bd5cd7c196ee65db1ed27846a901f860130ef64885f78fe7",
+    }),
+    "dense-2/5-1/2": ((("2/5", "1/2"), [(1.0, 2.0)] * 2, [30, 20]), {
+        1: "64ca13781abf258f7304817841c29520df51c8f373e4e342d133fac2bb26591c",
+        7: "8534fa89c3a36cc9720ab237e7d8fafd80b140d0ec1262980f0a6f0f9269a1a6",
+        30: "84bcee79238bf170af100e2fa369caff232162061140f6448837fd9a9744a978",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_DIGESTS))
+def test_sheet_row_blocks_pinned(case):
+    (hs, intervals, shape), digests = _BLOCK_DIGESTS[case]
+    for rows, want in digests.items():
+        digest = hashlib.sha256()
+        for block in _sheet_rows(spec(*hs), TimeGrid(intervals, shape), 2024, (3, 1, 0), rows):
+            digest.update(repr(block.shape).encode())
+            digest.update(np.ascontiguousarray(block).tobytes())
+        assert digest.hexdigest() == want, rows
+
+
+@pytest.mark.parametrize(
+    "hs, grid, error",
+    [
+        (("3/10",), TimeGrid([(1.05, 2.0)], [5000]), FactorizationError),
+        (("2/5", "1/2"), TimeGrid([(1.0, 2.0)] * 2, [5000, 8]), FactorizationError),
+        (("1/2",), TimeGrid([(1.0, 1.0)], [1]), ValueError),
+    ],
+    ids=["off-lattice", "dense-axis", "one-point"],
+)
+def test_refused_grid_is_refused_at_every_draw(hs, grid, error):
+    # the plan cache keeps no refusal: each draw raises again
+    for _ in range(3):
+        with pytest.raises(error):
+            sample_sheet(spec(*hs), grid, seed=0)
+
+
+def test_plan_is_built_once_per_kernel_and_grid():
+    k, g = spec("1/2"), TimeGrid([(1.0, 2.5)], [2])  # no other test draws this grid
+    before = gfield._draw_plan.cache_info()
+    for i in range(100):
+        sample_sheet(k, g, seed=0, key=(i,))
+    after = gfield._draw_plan.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 99)
+
+
+def test_failed_circulant_embedding_is_refused(monkeypatch):
+    # the embedding of fGn has no negative eigenvalue at any H tried; a
+    # negated spectrum stands in for one, uncached so no other test sees it
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a: -fft(a))
+    monkeypatch.setattr(gfield, "_fgn_sqrt_eigs", gfield._fgn_sqrt_eigs.__wrapped__)
+    monkeypatch.setattr(gfield, "_draw_plan", gfield._draw_plan.__wrapped__)
+    g = TimeGrid.unit([19])
+    for _ in range(2):
+        with pytest.raises(
+            FactorizationError,
+            match=r"circulant embedding of H = 0\.3 on 19 points of \[1, 2\] has a negative",
+        ):
+            sample_fbm_1d("3/10", g, seed=0)
+
+
+def test_failed_cholesky_is_refused(monkeypatch):
+    def no_factor(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    monkeypatch.setattr(gfield, "_axis_factor", gfield._axis_factor.__wrapped__)
+    monkeypatch.setattr(gfield, "_draw_plan", gfield._draw_plan.__wrapped__)
+    for k, g, named in (
+        (spec("7/10"), TimeGrid([(1.03, 2.0)], [20]), r"H = 0\.7 covariance of 20 points on \[1\.03, 2\]"),
+        (spec("1/2", "3/5"), TimeGrid([(1.0, 2.0), (0.5, 3.0)], [4, 6]),
+         r"H = 0\.6 covariance of 6 points on \[0\.5, 3\]"),
+    ):
+        with pytest.raises(FactorizationError, match=named + " has no Cholesky factor"):
+            sample_sheet(k, g, seed=0)
 
 
 # -- assumption scan ----------------------------------------------------

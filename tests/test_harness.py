@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -888,6 +889,27 @@ def test_walk_within_the_memory_budget_is_accepted(text):
 )
 def test_sampler_and_spectra_limits_are_refused_at_validation(tmp_path, capsys, text, named):
     _assert_refused(tmp_path, capsys, text, named)
+
+
+def test_davies_harte_lattice_over_its_budget_is_refused_without_allocating():
+    # 4097 points on [8192, 8193] sit on a lattice through 0 of 33.5 M steps,
+    # about 2 GiB for one entry draw: validation refuses it, and allocates
+    # nothing on the way
+    text = _sized(hurst='["1/3"]', resolution="[4097]", interval="[[8192.0, 8193.0]]")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    nbytes = (8192 * 4096 + 4097) * 64
+    assert ("H = 0.333333: the Davies-Harte draw of its lattice through 0 would take "
+            "%d bytes, over the budget of %d bytes" % (nbytes, 2**30)) in str(err.value)
+    assert "at most 4096 points, got 4097" in str(err.value)
+    # 1025 points on [1024, 1025]: a lattice of 1.05 M steps, about 67 MB
+    parse_config(_sized(hurst='["1/3"]', resolution="[1025]", interval="[[1024.0, 1025.0]]"))
 
 
 def test_matrix_path_at_the_memory_budget_is_accepted():

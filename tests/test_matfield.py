@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eigencollide import gfield
 from eigencollide.gfield import KernelSpec, TimeGrid, sample_fbm_1d
 from eigencollide.matfield import (
     EnsembleSpec,
@@ -16,6 +17,7 @@ from eigencollide.matfield import (
     assemble_selfadjoint,
     sample_ensemble,
 )
+from eigencollide.rng import DOMAIN_FIELD, substream
 from eigencollide.theory import HurstVector
 
 KERN = KernelSpec(HurstVector(["1/2"]))
@@ -150,6 +152,19 @@ def test_rect_entry_variances():
     )
     assert abs(z[:, 0, 0].real.var() - 1.0) <= 3 * se
     assert abs(z[:, 0, 0].imag.var() - 1.0) <= 3 * se
+
+
+def test_two_point_rect_draws_one_stream_per_entry(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(gfield, "substream", spy)
+    spec = EnsembleSpec(beta=1, shape=(2, 3), kernel=KERN)
+    assemble_rect(spec, GRID, 7, path_index=5)
+    assert calls == [(7, DOMAIN_FIELD, 5, e, 0) for e in range(6)]
 
 
 def test_fixed_seed_bit_identical():
