@@ -479,15 +479,6 @@ def test_refused_grid_is_refused_at_every_draw(hs, grid, error):
             sample_sheet(spec(*hs), grid, seed=0)
 
 
-def test_plan_is_built_once_per_kernel_and_grid():
-    k, g = spec("1/2"), TimeGrid([(1.0, 2.5)], [2])  # no other test draws this grid
-    before = gfield._draw_plan.cache_info()
-    for i in range(100):
-        sample_sheet(k, g, seed=0, key=(i,))
-    after = gfield._draw_plan.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 99)
-
-
 def test_failed_circulant_embedding_is_refused(monkeypatch):
     # the embedding of fGn has no negative eigenvalue at any H tried; a
     # negated spectrum stands in for one, uncached so no other test sees it
@@ -512,7 +503,8 @@ def test_failed_cholesky_is_refused(monkeypatch):
     monkeypatch.setattr(gfield, "_axis_factor", gfield._axis_factor.__wrapped__)
     monkeypatch.setattr(gfield, "_draw_plan", gfield._draw_plan.__wrapped__)
     for k, g, named in (
-        (spec("7/10"), TimeGrid([(1.03, 2.0)], [20]), r"H = 0\.7 covariance of 20 points on \[1\.03, 2\]"),
+        (spec("7/10"), TimeGrid([(1.03, 2.0)], [20]),
+         r"H = 0\.7 covariance of 20 points on \[1\.03, 2\]"),
         (spec("1/2", "3/5"), TimeGrid([(1.0, 2.0), (0.5, 3.0)], [4, 6]),
          r"H = 0\.6 covariance of 6 points on \[0\.5, 3\]"),
     ):

@@ -167,6 +167,16 @@ def test_two_point_rect_draws_one_stream_per_entry(monkeypatch):
     assert calls == [(7, DOMAIN_FIELD, 5, e, 0) for e in range(6)]
 
 
+def test_one_draw_plan_serves_every_entry_of_every_path():
+    spec = EnsembleSpec(beta=1, shape=(2, 3), kernel=KERN)
+    grid = TimeGrid([(1.0, 2.5)], [2])  # a grid no other test draws
+    before = gfield._draw_plan.cache_info()
+    for i in range(100):
+        assemble_rect(spec, grid, 7, path_index=i)
+    after = gfield._draw_plan.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 599)
+
+
 def test_fixed_seed_bit_identical():
     spec = EnsembleSpec(beta=2, shape=(2, 3), kernel=KERN)
     a = assemble_rect(spec, GRID, 9, path_index=3)
