@@ -73,7 +73,8 @@ and `harness.simulate` pass no rungs and solve every point, and the
 plane route always does.
 
 Paths are independent across workers and the reduction is ordered by path
-index, so results are identical for any thread count.
+index, so results are identical for any thread count.  A path index is one
+word of its entries' stream keys, so a run takes at most 2**32 paths.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ import numpy as np
 
 from .gfield import TimeGrid
 from .matfield import EnsembleSpec, _affine_values, _ensemble_rows, _plane_entries, _row_draws
+from .rng import _KEY_LIMIT
 from .spectra import (
     NumericalError,
     _grid_coordinates,
@@ -143,6 +145,8 @@ def _mc_problems(eps: tuple, n_paths: int, threads: int) -> list[str]:
         out.append("eps_ladder entries must be finite and > 0")
     if n_paths < 100:
         out.append("paths must be >= 100")
+    if n_paths > _KEY_LIMIT:  # a path index is one stream key component
+        out.append("paths must be <= 2**32 (%d)" % _KEY_LIMIT)
     if threads < 1:
         out.append("threads must be >= 1")
     return out

@@ -41,7 +41,8 @@ before any draw.
 it needs: the method, each axis's Brownian weights shaped to broadcast
 along it or its dense factor, and the circulant spectrum.  A refused grid
 raises there and is never cached, so every draw of it is refused.  An
-entry draw is then its stream, its normals and the plan's arithmetic.
+entry draw is then its stream, its normals and the plan's arithmetic; a
+caller drawing many entries looks the plan up once and passes it in.
 
 Sampling uses the splittable streams of `eigencollide.rng`; a fixed
 (seed, key) always reproduces the same values bit for bit.
@@ -450,7 +451,8 @@ def sample_sheet(
 
 
 def _sheet_rows(
-    spec: KernelSpec, grid: TimeGrid, seed: int, key: tuple[int, ...], rows: int
+    spec: KernelSpec, grid: TimeGrid, seed: int, key: tuple[int, ...], rows: int,
+    plan: _DrawPlan | None = None,
 ):
     """Yield one sheet draw in blocks of `rows` rows along axis 0 (the last
     block may be shorter); joined, the blocks are `sample_sheet`'s values
@@ -465,9 +467,11 @@ def _sheet_rows(
     whole by the dense factors and sliced: a dense factor applied to a row
     block goes through BLAS, whose blocking, and so its rounding, depends
     on the row count.  The grid is checked, and the method, weights and
-    factors looked up, once per (kernel, grid) by `_draw_plan`.
+    factors looked up, once per (kernel, grid) by `_draw_plan`; a caller
+    drawing many entries of one (kernel, grid) passes that `plan` in.
     """
-    plan = _draw_plan(spec, grid)
+    if plan is None:
+        plan = _draw_plan(spec, grid)
     rng = substream(seed, DOMAIN_FIELD, *key)
     n0 = grid.shape[0]
     if not plan.by_rows:

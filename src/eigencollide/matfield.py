@@ -24,10 +24,11 @@ values `assemble_selfadjoint` stores, and no matrix is built.  A block
 draws only its own rows on a grid whose axes all have H = 1/2
 (`gfield._streams_by_rows`), a 1-d Brownian motion included; any other
 grid is drawn whole per entry and sliced.  `gfield._sheet_rows` decides
-how each entry is drawn, from a draw plan it checks and builds once per
+how each entry is drawn, from a draw plan checked and built once per
 (kernel, grid) (`gfield._draw_plan`): every entry of every path on one
-grid shares it, so an entry draw is its stream, its normals and the
-plan's arithmetic.
+grid shares it, and `_row_draws` looks it up once per path and hands it
+to every entry's `_sheet_rows`, so an entry draw is its stream, its
+normals and the plan's arithmetic.
 
 `_walk_problems` owns the limits of a walk: its sampler's
 (`gfield._sampler_problems`) and the memory budget of `_MAX_PATH_BYTES`
@@ -48,7 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfield import KernelSpec, TimeGrid, _sampler_problems, _sheet_rows, _streams_by_rows
+from .gfield import (
+    KernelSpec,
+    TimeGrid,
+    _draw_plan,
+    _sampler_problems,
+    _sheet_rows,
+    _streams_by_rows,
+)
 # sample_fbm_1d, sample_sheet: unused, bound for the benchmark's tracer
 from .gfield import sample_fbm_1d, sample_sheet  # noqa: F401
 
@@ -187,24 +195,28 @@ def _walk_problems(spec: EnsembleSpec, grid: TimeGrid, rows: int) -> list[str]:
 def _row_draws(spec: EnsembleSpec, grid: TimeGrid, seed: int, path_index: int, rows: int):
     """Yield (first row, block shape, draw) for each block of `rows` rows
     along axis 0 of Monte Carlo path `path_index`, after refusing, before
-    the first draw, a walk over the memory budget.
+    the first draw, a walk over the memory budget or one its sampler
+    refuses.
 
     `draw(i, j, part)` returns the block of the scalar field at entry
     (i, j) and must be called once per block for each entry the caller
-    uses.  Each entry is one stream of `gfield._sheet_rows`, so joined
-    blocks are the same values whatever `rows` is.  A stream is dropped
-    after its last block, since a suspended generator keeps its whole
-    draw alive.
+    uses.  Each entry is one stream of `gfield._sheet_rows`, drawn by the
+    path's one lookup of the draw plan, so joined blocks are the same
+    values whatever `rows` is.  A stream is dropped after its last block,
+    since a suspended generator keeps its whole draw alive.
     """
     problems = _budget_problems(spec, grid, rows)
     if problems:
         raise ValueError("; ".join(problems))
+    plan = _draw_plan(spec.kernel, grid)
     n0 = grid.shape[0]
     streams = {}
 
     def draw(i, j, part):
         key = _entry_key(spec, path_index, i, j, part)
-        entry = streams.pop(key, None) or _sheet_rows(spec.kernel, grid, seed, key, rows)
+        entry = streams.pop(key, None) or _sheet_rows(
+            spec.kernel, grid, seed, key, rows, plan=plan
+        )
         block = next(entry)
         if start + rows < n0:
             streams[key] = entry

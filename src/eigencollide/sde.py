@@ -33,7 +33,8 @@ particle-major, shape (d, paths), plus each path's smallest gap, carried
 from one step's crossing test to the next step's impulse bound.  Path p
 draws its Brownian increments from substream(seed, DOMAIN_SDE, p) in
 blocks of 256 steps that continue one (steps, d) draw, so the block size
-does not change any path.  The block is step-major, (256, d, paths): each
+does not change any path; a path index is a key word, so a run refuses
+more than 2**32 paths before it draws.  The block is step-major, (256, d, paths): each
 stream's draw lands in one reused (256, d) buffer and is copied into its
 column, so that every step reads a contiguous (d, paths) slice.  (A
 path-major block filled in place reads each step with a stride of one
@@ -60,7 +61,7 @@ import math
 import numpy as np
 
 from .gfield import _as_exponent
-from .rng import DOMAIN_SDE, substream
+from .rng import _KEY_LIMIT, DOMAIN_SDE, substream
 
 __all__ = [
     "dyson_paths",
@@ -226,6 +227,8 @@ def _run_paths(x0, t1, n_steps, seed, n_paths, drift_fn, diffusion_fn, reflect):
         raise ValueError("n_steps must be >= 1")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if n_paths > _KEY_LIMIT:  # a path index is one stream key component
+        raise ValueError("n_paths must be <= 2**32 (%d)" % _KEY_LIMIT)
     d = len(x0)
     model = (drift_fn, diffusion_fn, reflect)
     dts = _dt_schedule(x0, t1, n_steps, drift_fn)

@@ -70,9 +70,9 @@ def _nan_in_sheet_rows(point, path_index=0):
     `path_index` is NaN at grid point `point`; every other value is
     unchanged."""
 
-    def planted(kernel, grid, seed, key, rows):
+    def planted(kernel, grid, seed, key, rows, plan=None):
         start = 0
-        for block in _sheet_rows(kernel, grid, seed, key, rows):
+        for block in _sheet_rows(kernel, grid, seed, key, rows, plan=plan):
             if key == (path_index, 1, 0) and start <= point[0] < start + len(block):
                 block = block.copy()
                 block[(point[0] - start,) + point[1:]] = np.nan
@@ -184,9 +184,10 @@ def test_plane_route_gaps_bitwise_equal_general_route(case, beta):
 def test_plane_route_bitwise_on_ties(monkeypatch, beta):
     # point 3: xi_12 = 0; point 5: also xi_11 = xi_22, a collision with gap
     # exactly 0; point 7: |xi_12| equals |a - c| / 2, a tie of the two legs
-    def planted(kernel, grid, seed, key, rows):
+    def planted(kernel, grid, seed, key, rows, plan=None):
         def whole(entry, part=0):  # an entry's draw over the whole grid
-            return next(_sheet_rows(kernel, grid, seed, (key[0], entry, part), grid.shape[0]))
+            entry_key = (key[0], entry, part)
+            return next(_sheet_rows(kernel, grid, seed, entry_key, grid.shape[0], plan=plan))
 
         def diagonal(entry):  # sqrt(2) xi_ii, as assembled
             return whole(entry) * np.sqrt(2.0)

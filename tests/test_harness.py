@@ -160,6 +160,13 @@ def test_wrongly_typed_values_are_config_errors(old, new, named):
         parse_config(MINIMAL.replace(old, new))
 
 
+def test_paths_over_one_key_word_are_refused():
+    # a path index is one stream key component, an integer below 2**32
+    assert parse_config(MINIMAL.replace("paths: 150", "paths: 4294967296")).paths == 2**32
+    with pytest.raises(ConfigError, match=r"paths must be <= 2\*\*32 \(4294967296\)"):
+        parse_config(MINIMAL.replace("paths: 150", "paths: 4294967297"))
+
+
 def test_config_hash_ignores_execution_details():
     cfg = parse_config(MINIMAL)
     assert config_hash(cfg) == config_hash(dataclasses.replace(cfg, threads=8))
@@ -261,9 +268,9 @@ def _assert_path0_failure(text, tmp_path):
     assert "Traceback" not in record and "NumericalError" not in record
 
 
-def _planted_sheet_rows(kernel, grid, seed, key, rows):
+def _planted_sheet_rows(kernel, grid, seed, key, rows, plan=None):
     # the draw of entry (0, 1) on path 0, NaN at grid point 5
-    values = next(_sheet_rows(kernel, grid, seed, key, grid.shape[0]))
+    values = next(_sheet_rows(kernel, grid, seed, key, grid.shape[0], plan=plan))
     if key[:2] == (0, 1):
         values = _nan_at_point_5(values)
     for row in range(0, len(values), rows):

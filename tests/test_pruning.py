@@ -241,9 +241,9 @@ def _nan_in_sheet_rows(point, path_index=0):
     `path_index` is NaN at grid point `point`; every other value is
     unchanged."""
 
-    def planted(kernel, grid, seed, key, rows):
+    def planted(kernel, grid, seed, key, rows, plan=None):
         start = 0
-        for block in _sheet_rows(kernel, grid, seed, key, rows):
+        for block in _sheet_rows(kernel, grid, seed, key, rows, plan=plan):
             if key == (path_index, 1, 0) and start <= point[0] < start + len(block):
                 block = block.copy()
                 block[(point[0] - start,) + point[1:]] = np.nan

@@ -390,6 +390,8 @@ def test_path_memory_does_not_grow_with_steps():
         (float("nan"), 10, 4, "t1 must be positive"),
         (1.0, 0, 4, "n_steps must be >= 1"),
         (1.0, 10, 0, "n_paths must be >= 1"),
+        # path p draws from substream(seed, DOMAIN_SDE, p): one key word
+        (1.0, 10, 2**32 + 1, r"n_paths must be <= 2\*\*32 \(4294967296\)"),
     ],
 )
 def test_path_runner_arguments_validated(t1, n_steps, n_paths, named):
