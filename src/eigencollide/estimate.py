@@ -42,8 +42,9 @@ and every later step acts point by point.  How an entry is drawn is
 Brownian motion included, draws each block's own rows; a sheet with a
 dense (H != 1/2) axis is drawn whole and then split into blocks, since a
 dense factor applied to a block would round differently, and so is a
-fractional 1-d grid (Davies-Harte on a lattice through 0); the walk's
-memory budget (`matfield._walk_problems`) counts the whole path then.
+fractional 1-d grid (Davies-Harte increments and a start value given
+them); the walk's memory budget (`matfield._walk_problems`) counts the
+whole path then.
 Everything is allocated per call, with no shared buffer, so worker
 threads cannot interfere.
 

@@ -12,11 +12,12 @@ realization whichever of them draws it.  Three methods, all exact:
   per line.  A block draws only its own rows of normals and carries the
   last row of the axis-0 cumulative sum into the next block, so memory
   follows the block, not the grid.
-* A fractional 1-d grid on a lattice through 0 whose draw, about
-  `_LATTICE_STEP_BYTES` per lattice step from 0 to the grid end, fits in
-  `_MAX_LATTICE_BYTES` (1 GiB): circulant embedding of the increment
-  covariance (Davies-Harte, real FFT), drawn for the lattice from 0 and
-  cut to the grid.
+* A fractional 1-d grid (H != 1/2), wherever it sits: its n - 1
+  increments X are stationary fractional Gaussian noise, drawn by
+  circulant embedding (Davies-Harte, real FFT) of half-length the
+  smallest 5-smooth integer >= n - 1, and its start value given them is
+  B(a) = mu . X + sigma Z, with mu = Cov(X)^-1 Cov(X, B(a)) solved once
+  per grid by Levinson's recursion (O(n^2) time, O(n) memory).
 * Everything else: the sheet's covariance factorizes over axes, so the
   draw applies one cached per-axis Cholesky factor along each tensor
   dimension (the dense path; H = 1/2 axes still take the cumulative
@@ -32,17 +33,18 @@ factor, raises FactorizationError rather than fall back to another
 method.
 
 `_sampler_problems` owns the size limits: two points per axis, at most
-`_MAX_DENSE` points on an axis with a dense factor, and on a fractional
-1-d grid at most `_MAX_DENSE` points unless it takes Davies-Harte.
-Nothing it checks allocates, so config validation reports its list
-before any draw.
+`_MAX_DENSE` points on an axis with a dense factor, and at most
+`_MAX_FBM_1D` points on a fractional 1-d grid, whose Levinson set-up is
+quadratic in them.  Nothing it checks allocates, so config validation
+reports its list before any draw.
 
 `_draw_plan` checks a (kernel, grid) once and caches what every draw of
 it needs: the method, each axis's Brownian weights shaped to broadcast
-along it or its dense factor, and the circulant spectrum.  A refused grid
-raises there and is never cached, so every draw of it is refused.  An
-entry draw is then its stream, its normals and the plan's arithmetic; a
-caller drawing many entries looks the plan up once and passes it in.
+along it or its dense factor, or a fractional 1-d grid's circulant
+spectrum and start-value weights.  A refused grid raises there and is
+never cached, so every draw of it is refused.  An entry draw is then its
+stream, its normals and the plan's arithmetic; a caller drawing many
+entries looks the plan up once and passes it in.
 
 Sampling uses the splittable streams of `eigencollide.rng`; a fixed
 (seed, key) always reproduces the same values bit for bit.
@@ -78,10 +80,9 @@ __all__ = [
 _MAX_DENSE = 4096
 # A TimeGrid refuses more points than this in total.
 _MAX_POINTS = 1 << 26
-# bytes a Davies-Harte draw holds per lattice step from 0, and their cap:
-# the memory budget of a path walk (`matfield._MAX_PATH_BYTES`)
-_LATTICE_STEP_BYTES = 64
-_MAX_LATTICE_BYTES = 1 << 30
+# A fractional 1-d grid refuses more points than this: the Levinson solve
+# of its start value, once per grid, is quadratic (about 0.6 s at 2^14).
+_MAX_FBM_1D = 1 << 14
 # grid pairs per row block of the assumption scan
 _SCAN_PAIRS = 1 << 18
 
@@ -112,6 +113,8 @@ class TimeGrid:
                 raise ValueError("interval start must be positive, got %g" % a)
             if a > b:
                 raise ValueError("interval must satisfy a <= b")
+            if not math.isfinite(b):
+                raise ValueError("interval end must be finite, got %g" % b)
             if a == b and n != 1:
                 raise ValueError("degenerate axis a == b needs exactly one point")
             if n < 1:
@@ -219,8 +222,8 @@ def _pair_cov(spec: KernelSpec, grid: TimeGrid, p: np.ndarray, q: np.ndarray) ->
 
 @lru_cache(maxsize=64)
 def _axis_factor(h: float, a: float, b: float, n: int) -> np.ndarray:
-    """Lower Cholesky factor of the H = h covariance on n points of [a, b];
-    a covariance without one raises FactorizationError."""
+    """Lower Cholesky factor of the H = h covariance on n points of [a, b],
+    for a sheet axis; a covariance without one raises FactorizationError."""
     ax = np.linspace(a, b, n)
     try:
         factor = np.linalg.cholesky(_axis_cov(h, ax[:, None], ax[None, :]))
@@ -242,75 +245,58 @@ def _brownian_weights(a: float, b: float, n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=64)
-def _fgn_sqrt_eigs(h: float, step: float, n_incr: int) -> np.ndarray | None:
-    """sqrt eigenvalues of the circulant embedding of fGn covariance, the
-    first n_incr + 1 of the 2 n_incr (the rest mirror them).
-
-    Returns None when the embedding has a negative eigenvalue, which the
-    caller refuses.
-    """
-    k = np.arange(n_incr + 1, dtype=float)
-    gamma = (
-        0.5
-        * step ** (2 * h)
-        * ((k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
-    )
-    circ = np.concatenate([gamma[:-1], gamma[-1:], gamma[-2:0:-1]])
-    eigs = np.fft.fft(circ).real
-    if eigs.min() < -1e-10 * eigs.max():
-        return None
-    eigs = np.clip(eigs[: n_incr + 1], 0.0, None)
-    out = np.sqrt(eigs)
-    out.flags.writeable = False
-    return out
+def _pow_steps(h: float, x: np.ndarray) -> np.ndarray:
+    """x_i^2H - x_{i-1}^2H along increasing x >= 0, through log1p and expm1
+    so that no digits cancel however far x is from 0."""
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf where x_{i-1} = 0
+        return -x[1:] ** (2 * h) * np.expm1(2 * h * np.log1p(-np.diff(x) / x[1:]))
 
 
-def _fgn_draw(sqrt_eigs: np.ndarray, n_incr: int, rng: np.random.Generator) -> np.ndarray:
-    """One fGn realization from the circulant spectrum (Davies-Harte).
+def _fgn_autocov(h: float, step: float, lags: int) -> np.ndarray:
+    """Autocovariance of fGn with step `step` at lags 0 .. lags - 1: half
+    the second differences of k^2H, the first taken with (-1)^2H."""
+    return 0.5 * step ** (2 * h) * np.diff(_pow_steps(h, np.arange(lags + 1.0)), prepend=-1.0)
+
+
+def _five_smooth(m: int) -> int:
+    """The smallest integer >= m with no prime factor above 5."""
+    e = range(m.bit_length() + 1)
+    return min(n for n in (2**i * 3**j * 5**k for i in e for j in e for k in e) if n >= m)
+
+
+def _levinson(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve T x = y for the positive definite symmetric Toeplitz T with
+    first column r by Levinson's recursion, in O(n^2) time and O(n) memory
+    (Golub & Van Loan, Algorithm 4.7.2); f is Durbin's Yule-Walker solution."""
+    r, x, n = r[1:] / r[0], y / r[0], len(y)
+    f = np.empty(n)
+    alpha = f[0] = -r[0] if n > 1 else 0.0
+    beta = 1.0
+    for k in range(1, n):
+        beta *= 1.0 - alpha * alpha
+        mu = (x[k] - r[:k] @ x[k - 1 :: -1]) / beta
+        x[:k] += mu * f[k - 1 :: -1]
+        x[k] = mu
+        if k < n - 1:
+            alpha = (-r[k] - r[:k] @ f[k - 1 :: -1]) / beta
+            f[:k] += alpha * f[k - 1 :: -1]
+            f[k] = alpha
+    return x
+
+
+def _fgn_draw(sqrt_eigs: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """One fGn realization from the circulant spectrum (Davies-Harte): the
+    first N + 1 square-root eigenvalues of the embedding of length 2N (the
+    rest mirror them) and 2N normals.
 
     The spectrum times the noise is Hermitian, so the real inverse FFT of
     its first half gives the real part of the full complex inverse FFT.
     """
-    m = 2 * n_incr
-    ends = rng.standard_normal(2)
-    v = rng.standard_normal((n_incr - 1, 2))
+    n_incr = sqrt_eigs.size - 1
     z = np.empty(n_incr + 1, dtype=complex)
-    z[0] = ends[0]
-    z[n_incr] = ends[1]
-    z[1:n_incr] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-    return np.sqrt(m) * np.fft.irfft(sqrt_eigs * z, n=m)[:n_incr]
-
-
-def _lattice_presteps(grid: TimeGrid) -> int | None:
-    """Number of lattice steps from 0 to the grid start, or None if the
-    grid is not commensurate with a lattice through the origin."""
-    (a, b), n = grid.intervals[0], grid.shape[0]
-    step = (b - a) / (n - 1)
-    m = a / step
-    m_int = round(m)
-    if abs(m - m_int) > 1e-9 * max(1.0, m):
-        return None
-    return m_int
-
-
-def _lattice_bytes(grid: TimeGrid) -> int | None:
-    """About the bytes a Davies-Harte draw of the 1-d `grid` holds,
-    `_LATTICE_STEP_BYTES` per step of its lattice from 0 to the grid end,
-    or None if the grid is off every lattice through 0."""
-    presteps = _lattice_presteps(grid)
-    if presteps is None:
-        return None
-    return (presteps + grid.shape[0]) * _LATTICE_STEP_BYTES
-
-
-def _takes_davies_harte(hurst: Sequence[float], grid: TimeGrid) -> bool:
-    """Whether `_sheet_rows` draws a grid by Davies-Harte: a fractional 1-d
-    grid on a lattice through 0 of at most `_MAX_LATTICE_BYTES`."""
-    if grid.ndim != 1 or hurst[0] == 0.5:
-        return False
-    nbytes = _lattice_bytes(grid)
-    return nbytes is not None and nbytes <= _MAX_LATTICE_BYTES
+    z[0], z[n_incr] = normals[0], normals[1]
+    z[1:n_incr] = (normals[2::2] + 1j * normals[3::2]) / np.sqrt(2.0)
+    return np.sqrt(2 * n_incr) * np.fft.irfft(sqrt_eigs * z, n=2 * n_incr)
 
 
 _TOO_FEW_POINTS = "resolution entries must be >= 2 (every sampler needs two points per axis)"
@@ -324,16 +310,9 @@ def _sampler_problems(hurst: Sequence[float], grid: TimeGrid) -> list[str]:
         return [_TOO_FEW_POINTS]
     if grid.ndim == 1 and hurst[0] != 0.5:
         n = grid.shape[0]
-        if n <= _MAX_DENSE or _takes_davies_harte(hurst, grid):
-            return []
-        problem = ("a 1-d grid off the lattice through 0 takes the dense fallback, "
-                   "at most %d points, got %d" % (_MAX_DENSE, n))
-        nbytes = _lattice_bytes(grid)
-        if nbytes is not None:
-            problem = ("H = %g: the Davies-Harte draw of its lattice through 0 would take "
-                       "%d bytes, over the budget of %d bytes, so the grid counts as off "
-                       "it; " % (hurst[0], nbytes, _MAX_LATTICE_BYTES)) + problem
-        return [problem]
+        return [] if n <= _MAX_FBM_1D else [
+            "a fractional 1-d grid (H = %g) takes at most %d points, got %d"
+            % (hurst[0], _MAX_FBM_1D, n)]
     return [
         "axis %d (H = %g) has %d points, too many for a dense per-axis "
         "factorization (at most %d)" % (j, h, n, _MAX_DENSE)
@@ -363,24 +342,30 @@ class _DrawPlan:
     `by_rows` says whether each block draws its own rows (every axis
     H = 1/2).  Per axis, `weights` holds the Brownian weights shaped to
     broadcast along it, None on a dense axis, and `factors` the dense
-    Cholesky factor, None on an H = 1/2 axis.  A Davies-Harte grid holds
-    its lattice steps before the grid start and circulant spectrum instead.
+    Cholesky factor, None on an H = 1/2 axis.  A fractional 1-d grid holds
+    its increments' circulant spectrum instead, and the start value's
+    weights `mu` on them and the sd `sigma` of its own normal.
     """
 
     shape: tuple[int, ...]
     by_rows: bool
     weights: tuple = ()
     factors: tuple = ()
-    presteps: int = 0
     sqrt_eigs: np.ndarray | None = None
+    mu: np.ndarray | None = None
+    sigma: float = 0.0
 
     def whole(self, rng: np.random.Generator) -> np.ndarray:
-        """The draw of a grid that `_sheet_rows` draws whole: Davies-Harte
+        """The draw of a grid that `_sheet_rows` draws whole: a fractional
+        1-d grid (the increments' 2N normals, then the start value's one)
         or the per-axis factors."""
         if self.sqrt_eigs is not None:
-            n_incr = self.presteps + self.shape[0] - 1
-            fgn = _fgn_draw(self.sqrt_eigs, n_incr, rng)
-            return np.concatenate([[0.0], np.cumsum(fgn)])[self.presteps :].copy()
+            normals = rng.standard_normal(2 * self.sqrt_eigs.size - 1)
+            values = np.empty(self.shape)
+            values[1:] = _fgn_draw(self.sqrt_eigs, normals[:-1])[: self.mu.size]
+            values[0] = self.mu @ values[1:] + self.sigma * normals[-1]
+            np.add.accumulate(values, out=values)  # cumsum
+            return values
         values = rng.standard_normal(self.shape)
         for j, (w, factor) in enumerate(zip(self.weights, self.factors)):
             if factor is None:
@@ -389,6 +374,26 @@ class _DrawPlan:
             else:
                 values = np.moveaxis(np.tensordot(factor, values, axes=(1, j)), 0, j)
         return np.ascontiguousarray(values)
+
+
+def _fbm_1d_plan(h: float, a: float, b: float, n: int) -> _DrawPlan:
+    """The plan of fBm on n points of [a, b]: the increments X are fGn,
+    whose minimal circulant embedding has no negative eigenvalue (Craigmile
+    2003; Perrin et al. 2002), and B(a) given them is N(mu . X, sigma^2),
+    mu = Cov(X)^-1 c, c_i = Cov(B(a), X_i), sigma^2 = a^2H - c . mu."""
+    step, half = (b - a) / (n - 1), _five_smooth(n - 1)
+    gamma = _fgn_autocov(h, step, half + 1)
+    eigs = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if eigs.min() < -1e-10 * eigs.max():
+        raise FactorizationError("the circulant embedding of H = %g on %d points of "
+                                 "[%g, %g] has a negative eigenvalue" % (h, n, a, b))
+    c = 0.5 * (_pow_steps(h, np.linspace(a, b, n))
+               - step ** (2 * h) * _pow_steps(h, np.arange(float(n))))
+    mu = _levinson(gamma[: n - 1], c)
+    sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
+    sqrt_eigs.flags.writeable = mu.flags.writeable = False
+    return _DrawPlan((n,), False, sqrt_eigs=sqrt_eigs, mu=mu,
+                     sigma=math.sqrt(a ** (2 * h) - c @ mu))
 
 
 @lru_cache(maxsize=64)
@@ -400,16 +405,8 @@ def _draw_plan(spec: KernelSpec, grid: TimeGrid) -> _DrawPlan:
         raise ValueError("grid and kernel dimension mismatch")
     hurst = spec.hurst.as_floats()
     _refuse_draw(_sampler_problems(hurst, grid))
-    if _takes_davies_harte(hurst, grid):
-        (a, b), n = grid.intervals[0], grid.shape[0]
-        presteps = _lattice_presteps(grid)
-        sqrt_eigs = _fgn_sqrt_eigs(hurst[0], (b - a) / (n - 1), presteps + n - 1)
-        if sqrt_eigs is None:
-            raise FactorizationError(
-                "the circulant embedding of H = %g on %d points of [%g, %g] has a "
-                "negative eigenvalue" % (hurst[0], n, a, b)
-            )
-        return _DrawPlan(grid.shape, False, presteps=presteps, sqrt_eigs=sqrt_eigs)
+    if grid.ndim == 1 and hurst[0] != 0.5:
+        return _fbm_1d_plan(hurst[0], *grid.intervals[0], grid.shape[0])
     weights, factors = [], []
     for j, (h, (a, b), n) in enumerate(zip(hurst, grid.intervals, grid.shape)):
         if h == 0.5:
@@ -462,8 +459,8 @@ def _sheet_rows(
     normals from the stream, which hands them out in C order, scales them
     by the axis-0 weights and adds the last row of the previous block's
     axis-0 cumulative sum before its own; the other axes are scaled and
-    summed inside the block.  A fractional 1-d grid on the lattice through
-    0 is drawn whole by Davies-Harte and sliced.  Any other sheet is drawn
+    summed inside the block.  A fractional 1-d grid is drawn whole, its
+    increments by Davies-Harte, and sliced.  Any other sheet is drawn
     whole by the dense factors and sliced: a dense factor applied to a row
     block goes through BLAS, whose blocking, and so its rounding, depends
     on the row count.  The grid is checked, and the method, weights and

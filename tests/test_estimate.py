@@ -16,7 +16,7 @@ from eigencollide.estimate import (
     verdict_experiment,
     wilson_interval,
 )
-from eigencollide.gfield import KernelSpec, TimeGrid, _lattice_presteps, _sheet_rows, sample_fbm_1d
+from eigencollide.gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d
 from eigencollide.harness import ExperimentConfig, simulate
 from eigencollide.matfield import EnsembleSpec, _ensemble_rows, assemble_rect, sample_ensemble
 from eigencollide.spectra import NumericalError, pattern_gap_values, spectral_path
@@ -106,11 +106,10 @@ def test_collision_prob_counts_nan_path_as_failed_3x3(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
 def test_collision_prob_counts_nan_davies_harte_path_as_failed(monkeypatch, d):
-    # a fractional 1-d grid on the lattice through 0 draws its entries
-    # whole by Davies-Harte, then hands them out in blocks
+    # a fractional 1-d grid draws its entries whole (Davies-Harte
+    # increments and a start value), then hands them out in blocks
     monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((3,), 7))
     grid = TimeGrid.unit([8])
-    assert _lattice_presteps(grid) is not None
     spec, pattern = ensemble(["3/10"], shape=(d,)), CollisionPattern((2,), d)
     est = collision_prob(spec, pattern, RE, grid, (1e9, 0.5), 100, 3)
     assert est.n_failed == 1
@@ -224,13 +223,16 @@ def test_plane_route_thread_count_cannot_matter():
 
 # grids of more than one block: rows that do not divide axis 0, a 3-d sheet,
 # a sheet with a dense axis and a fractional 1-d grid, both drawn whole and
-# then split, and a 1-d Brownian motion, which streams by rows
+# then split, and a 1-d Brownian motion, which streams by rows.  A
+# fractional 1-d grid has at most 2^14 points, one default block, so it
+# walks in blocks of `_FBM_BLOCK_POINTS`.
+_FBM_BLOCK_POINTS = 4096
 BLOCK_GRIDS = {
     "sheet-200x100": (["1/2", "1/2"], TimeGrid.unit([200, 100])),
     "sheet-97x331": (["1/2", "1/2"], TimeGrid([(1.0, 2.0), (0.5, 1.5)], [97, 331])),
     "sheet-40x30x20": (["1/2", "1/2", "1/2"], TimeGrid.unit([40, 30, 20])),
     "sheet-1/2-7/10": (["1/2", "7/10"], TimeGrid.unit([300, 60])),
-    "fbm-40000": (["3/10"], TimeGrid.unit([40000])),
+    "fbm-10000": (["3/10"], TimeGrid.unit([10000])),
     "bm-40000": (["1/2"], TimeGrid.unit([40000])),
 }
 
@@ -244,8 +246,10 @@ def _kind(shape, beta):
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["2x2", "2x3"])
 @pytest.mark.parametrize("case", sorted(BLOCK_GRIDS))
-def test_streamed_path_bitwise_equals_whole_grid_route(case, shape, beta):
+def test_streamed_path_bitwise_equals_whole_grid_route(monkeypatch, case, shape, beta):
     hs, grid = BLOCK_GRIDS[case]
+    if case.startswith("fbm"):
+        monkeypatch.setattr(estimate, "_BLOCK_POINTS", _FBM_BLOCK_POINTS)
     assert estimate._block_rows(grid) < grid.shape[0]
     spec, kind = ensemble(hs, shape=shape, beta=beta), _kind(shape, beta)
     for path_index in (0, 7):
@@ -258,10 +262,11 @@ def test_streamed_path_bitwise_equals_whole_grid_route(case, shape, beta):
 
 
 @pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["plane", "general"])
-def test_one_d_grid_walks_in_blocks(shape):
+def test_one_d_grid_walks_in_blocks(monkeypatch, shape):
+    monkeypatch.setattr(estimate, "_BLOCK_POINTS", _FBM_BLOCK_POINTS)
     spec, kind = ensemble(["3/10"], shape=shape), _kind(shape, 1)
-    rows = estimate._path_rows(spec, PAT2, kind, BLOCK_GRIDS["fbm-40000"][1], 21, 0)
-    assert [start for start, *_ in rows] == [0, 16384, 32768]
+    rows = estimate._path_rows(spec, PAT2, kind, BLOCK_GRIDS["fbm-10000"][1], 21, 0)
+    assert [start for start, *_ in rows] == [0, 4096, 8192]
 
 
 @pytest.mark.parametrize("d", [2, 3], ids=["plane", "general"])
@@ -297,10 +302,10 @@ def test_thread_count_cannot_matter_on_multi_block_grids(shape):
 )
 def test_thread_count_cannot_matter_on_a_streamed_1d_grid(monkeypatch, shape, h, n):
     # a 1-d Brownian motion in three blocks, each carrying the last value of
-    # the cumulative sum into the next, and a fractional one drawn whole by
-    # Davies-Harte and cut into three smaller blocks (its 4097 points give
-    # a 2^14-point FFT); compared a few times over, since state shared
-    # between threads need not show on every run
+    # the cumulative sum into the next, and a fractional one drawn whole
+    # (increments and a start value) and cut into three smaller blocks;
+    # compared a few times over, since state shared between threads need
+    # not show on every run
     monkeypatch.setattr(estimate, "_BLOCK_POINTS", estimate._BLOCK_POINTS * n // 40000)
     grid = TimeGrid.unit([n])
     assert estimate._block_rows(grid) < grid.shape[0] // 2

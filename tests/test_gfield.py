@@ -1,6 +1,7 @@
 """Field sampler statistics against the closed-form covariance."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from eigencollide import gfield
 from eigencollide.gfield import (
     _axis_cov,
     _axis_factor,
+    _draw_plan,
+    _fgn_autocov,
     _fgn_draw,
-    _fgn_sqrt_eigs,
-    _lattice_presteps,
     _sheet_rows,
     FactorizationError,
     KernelSpec,
@@ -44,6 +45,9 @@ def test_grid_validation():
         TimeGrid([(1.0, 1.0)], [4])  # degenerate axis needs one point
     with pytest.raises(ValueError, match="over the budget"):
         TimeGrid([(1.0, 2.0)] * 2, [2**13, 2**14])  # 2**27 points, nothing allocated
+    for end in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="interval end must be finite"):
+            TimeGrid([(1.0, end)], [4])
 
 
 def test_grid_axes():
@@ -138,10 +142,13 @@ def test_fbm_increment_scaling():
         assert second_moment == pytest.approx((lag * dt) ** (2 * h), rel=0.05)
 
 
-def test_fbm_dense_fallback_incommensurate():
-    # [1.03, 2] with 20 points has no lattice through 0; dense path is exact.
-    g = TimeGrid([(1.03, 2.0)], [20])
-    assert _lattice_presteps(g) is None
+@pytest.mark.parametrize(
+    "interval", [(1.0, 2.0), (1.03, 2.0)], ids=["on-lattice", "off-lattice"]
+)
+def test_fbm_sample_covariance(interval):
+    # [1, 2] with 20 points sits on a lattice through 0 and [1.03, 2] on
+    # none; one method draws both, exactly
+    g = TimeGrid([interval], [20])
     m = 4000
     draws = np.stack(
         [sample_fbm_1d("2/3", g, seed=13, key=(i,)).values for i in range(m)]
@@ -152,17 +159,99 @@ def test_fbm_dense_fallback_incommensurate():
     assert np.abs(emp - gram).max() < tol
 
 
-def test_fbm_large_incommensurate_rejected():
-    g = TimeGrid([(1.05, 2.0)], [5000])
-    assert _lattice_presteps(g) is None
-    with pytest.raises(FactorizationError, match="off the lattice through 0"):
-        sample_fbm_1d("3/10", g, seed=0)
-    # H = 1/2 takes the cumulative sum, which has no size limit, and a
-    # fractional grid on the lattice through 0 takes Davies-Harte, whichever
-    # entry point draws it
-    assert sample_fbm_1d("1/2", g, seed=0).values.shape == (5000,)
-    on_lattice = TimeGrid.unit([5000])
-    assert sample_sheet(spec("3/10"), on_lattice, seed=0).values.shape == (5000,)
+def test_fbm_1d_point_cap():
+    # one cap for fractional 1-d grids, wherever they sit, and no lattice
+    # through 0 needed below it
+    off = TimeGrid([(1.05, 2.0)], [5000])
+    assert sample_fbm_1d("3/10", off, seed=0).values.shape == (5000,)
+    for interval in ((1.0, 2.0), (8192.0, 8193.0)):
+        g = TimeGrid([interval], [16385])
+        with pytest.raises(FactorizationError, match="takes at most 16384 points, got 16385"):
+            sample_fbm_1d("3/10", g, seed=0)
+        # H = 1/2 takes the cumulative sum, which has no such cap
+        assert sample_fbm_1d("1/2", g, seed=0).values.shape == (16385,)
+
+
+def _implied_cov(plan):
+    """The covariance a fractional 1-d plan draws: the increments' Toeplitz
+    covariance read back from the circulant spectrum, and B(a) = mu . X +
+    sigma Z, each point B(a) plus its increments."""
+    col = np.fft.irfft(plan.sqrt_eigs**2)  # first column of the circulant
+    m = plan.mu.size
+    idx = np.arange(m)
+    cov = np.zeros((m + 1, m + 1))
+    cov[:m, :m] = col[np.abs(idx[:, None] - idx[None, :])]
+    cov[m, m] = 1.0
+    lin = np.zeros((m + 1, m + 1))  # point k from (X_1 .. X_m, Z)
+    lin[:, :m] = plan.mu + np.tril(np.ones((m + 1, m)), -1)
+    lin[:, m] = plan.sigma
+    return lin @ cov @ lin.T
+
+
+@pytest.mark.parametrize(
+    "interval", [(1.0, 2.0), (0.5, 1.5), (1.03, 2.0), (1024.0, 1025.0)],
+    ids=["unit", "half", "off-lattice", "far"],
+)
+@pytest.mark.parametrize("n", [20, 96, 1025])
+def test_fbm_plan_covariance_is_exact(interval, n):
+    for h in ("1/10", "3/10", "2/5", "7/10", "9/10"):
+        k, g = spec(h), TimeGrid([interval], [n])
+        gram = kernel_gram(k, g)
+        err = np.abs(_implied_cov(_draw_plan(k, g)) - gram).max()
+        assert err <= 1e-12 * np.abs(gram).max(), h
+
+
+def test_levinson_residual_at_the_cap():
+    # Sigma mu = c at 2^14 points, H = 0.9, with Sigma applied by FFT and
+    # c_i = Cov(B(1), B(t_i)) - Cov(B(1), B(t_{i-1})) in extended precision,
+    # at the grid's points and lags i * step
+    n, h = 16384, 0.9
+    grid = TimeGrid.unit([n])
+    plan = _draw_plan(spec("9/10"), grid)
+    t, lag = grid.axis(0).astype(np.longdouble), np.arange(n) * np.longdouble(1.0 / (n - 1))
+    c = np.diff(0.5 * (1 + t ** (2 * h) - lag ** (2 * h))).astype(float)
+    gamma = _fgn_autocov(h, 1.0 / (n - 1), n - 1)
+    circ = np.concatenate([gamma, [0.0], gamma[:0:-1]])
+    padded = np.concatenate([plan.mu, np.zeros(n - 1)])
+    sigma_mu = np.fft.irfft(np.fft.rfft(circ) * np.fft.rfft(padded), n=circ.size)[: n - 1]
+    assert np.linalg.norm(sigma_mu - c) <= 1e-12 * np.linalg.norm(c)
+
+
+def test_fbm_plans_take_increments_at_a_five_smooth_length(monkeypatch):
+    # every fractional 1-d grid takes the increments route, none a dense
+    # factor, and the circulant's half-length is 5-smooth and >= n - 1
+    factors = []
+    monkeypatch.setattr(gfield, "_axis_factor", lambda *args: factors.append(args))
+    monkeypatch.setattr(gfield, "_draw_plan", gfield._draw_plan.__wrapped__)
+    for n in (2, 3, 20, 96, 97, 1025, 4097, 5000, 8192, 16384):
+        interval = (1.0, 2.0) if n % 2 else (1.03, 2.0)
+        plan = gfield._draw_plan(spec("3/10"), TimeGrid([interval], [n]))
+        half = plan.sqrt_eigs.size - 1
+        assert half >= n - 1 and plan.mu.size == n - 1
+        for p in (2, 3, 5):
+            while half % p == 0:
+                half //= p
+        assert half == 1, n
+    assert factors == []
+
+
+@pytest.mark.parametrize(
+    "interval, n", [((1024.0, 1025.0), 1025), ((8192.0, 8193.0), 4097)], ids=["1025", "4097"]
+)
+def test_fbm_draw_memory_follows_the_grid_not_its_distance_from_0(monkeypatch, interval, n):
+    # a draw, its plan included, holds memory of the order of its points,
+    # however far from 0 they sit
+    monkeypatch.setattr(gfield, "_draw_plan", gfield._draw_plan.__wrapped__)
+    sample_fbm_1d("1/3", TimeGrid.unit([3]), seed=0)  # lazy imports, outside the count
+    g = TimeGrid([interval], [n])
+    tracemalloc.start()
+    try:
+        values = sample_fbm_1d("1/3", g, seed=0).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert values.shape == (n,) and np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("h", ["1/2", "3/10", "7/10"])
@@ -172,7 +261,6 @@ def test_fbm_large_incommensurate_rejected():
 def test_fbm_is_the_one_exponent_sheet_bitwise(h, interval, n):
     # one realization per (seed, key), whichever entry point draws it
     g = TimeGrid([interval], [n])
-    assert (_lattice_presteps(g) is None) == (interval[0] == 1.03)
     want = sample_fbm_1d(h, g, seed=6, key=(1, 2, 0)).values
     for got in (
         sample_sheet(spec(h), g, seed=6, key=(1, 2, 0)).values,
@@ -232,11 +320,10 @@ def test_sheet_marginal_variance():
 
 
 def test_sheet_matches_fbm_in_distribution_1d():
-    # two methods, compared at their shared endpoint t = 2: Davies-Harte on
-    # the lattice through 0 and the dense factor off it
+    # two grids and two entry points, compared at their shared endpoint
+    # t = 2: `sample_sheet` on a lattice through 0, `sample_fbm_1d` off it
     k = spec("3/10")
     lattice, dense = TimeGrid.unit([17]), TimeGrid([(1.03, 2.0)], [20])
-    assert _lattice_presteps(lattice) == 16 and _lattice_presteps(dense) is None
     m = 10_000
     lattice_end = np.array(
         [sample_sheet(k, lattice, seed=4, key=(i,)).values[-1] for i in range(m)]
@@ -301,7 +388,7 @@ SHEET_ROW_CASES = {
     # a 1-d Brownian motion, on the lattice through 0 and off it
     "bm-100": (("1/2",), [(1.0, 2.0)], [100]),
     "bm-off-lattice-100": (("1/2",), [(1.05, 2.0)], [100]),
-    # fractional 1-d: Davies-Harte on the lattice, the dense factor off it
+    # fractional 1-d, on a lattice through 0 and off it
     "fbm-3/10-100": (("3/10",), [(1.0, 2.0)], [100]),
     "fbm-7/10-off-lattice-20": (("7/10",), [(1.03, 2.0)], [20]),
 }
@@ -326,45 +413,40 @@ def test_sheet_rows_join_to_sample_sheet_bitwise(monkeypatch, case):
         got = np.concatenate(blocks)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         # all-1/2 sheets draw each block's rows alone; a dense axis draws
-        # whole, and Davies-Harte draws the normals of the lattice from 0
+        # whole, and a fractional 1-d grid draws 2N + 1 normals at once
         draws = streams[-1].shapes
         if all(h == "1/2" for h in hs):
             assert draws == [b.shape for b in blocks]
-        elif _lattice_presteps(grid) is not None and len(shape) == 1:
-            n_incr = _lattice_presteps(grid) + shape[0] - 1
-            assert draws == [2, (n_incr - 1, 2)]
+        elif len(shape) == 1:
+            assert draws == [2 * _draw_plan(spec(*hs), grid).sqrt_eigs.size - 1]
         else:
             assert draws == [tuple(shape)]
 
 
 def test_fgn_real_fft_matches_complex_ifft():
-    for h, n_incr in ((0.5, 4096), (0.3, 257), (0.8, 2)):
-        half = _fgn_sqrt_eigs(h, 1.0 / n_incr, n_incr)
-        got = _fgn_draw(half, n_incr, np.random.default_rng(9))
+    for h, n_incr in ((0.5, 4096), (0.3, 257), (0.8, 2), (0.3, 1)):
+        gamma = _fgn_autocov(h, 1.0 / n_incr, n_incr + 1)
+        full = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        half = np.sqrt(full[: n_incr + 1])
+        normals = np.random.default_rng(9).standard_normal(2 * n_incr)
+        got = _fgn_draw(half, normals)
         # Complex Davies-Harte: mirror the spectrum and the noise.
-        rng = np.random.default_rng(9)
         m = 2 * n_incr
-        ends = rng.standard_normal(2)
-        v = rng.standard_normal((n_incr - 1, 2))
+        v = normals[2:].reshape(n_incr - 1, 2)
         z = np.empty(m, dtype=complex)
-        z[0], z[n_incr] = ends
+        z[0], z[n_incr] = normals[:2]
         z[1:n_incr] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
         z[n_incr + 1 :] = np.conj(z[1:n_incr][::-1])
-        full = np.concatenate([half, half[-2:0:-1]])
-        want = np.sqrt(m) * np.fft.ifft(full * z).real[:n_incr]
+        want = np.sqrt(m) * np.fft.ifft(np.sqrt(full) * z).real
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def _off_lattice_fbm(h, grid, seed, key):
-    """`sample_fbm_1d` on a grid that must take the dense path."""
-    assert _lattice_presteps(grid) is None
-    return sample_fbm_1d(h, grid, seed, key)
-
-
-# Realizations recorded from the dense-factor sheet sampler and the complex
-# Davies-Harte draw, and the 1-d cumulative sum recorded from `sample_sheet`:
-# entries at fixed flat indices and the sum of squares.  They pin the
-# stream layout (seed, key) -> values across sampler changes.
+# Realizations recorded from the dense-factor sheet sampler, the 1-d
+# cumulative sum recorded from `sample_sheet`, and fractional 1-d draws
+# (increments and start value) recorded once their covariance matched
+# `kernel_gram` to 1e-12: entries at fixed flat indices and the sum of
+# squares.  They pin the stream layout (seed, key) -> values across sampler
+# changes.
 _PINNED = [
     pytest.param(
         lambda: sample_sheet(spec("1/2", "1/2"), TimeGrid.unit([32, 32]), 2024, (3, 1, 0)),
@@ -385,10 +467,10 @@ _PINNED = [
     pytest.param(
         lambda: sample_fbm_1d("7/10", TimeGrid.unit([4096]), 2024, (3, 1, 0)),
         [0, 1, 2047, 4095],
-        [-0.5569511477176413, -0.5525127623968559, -1.8414983296478107,
-         -1.6756598764395925],
-        10387.179423484135,
-        id="fbm_davies_harte_4096",
+        [-0.10599118681209291, -0.10666974824435721, -0.4494685292353195,
+         -1.138237570196045],
+        2445.803376783846,
+        id="fbm_increments_4096",
     ),
     pytest.param(
         lambda: sample_fbm_1d("1/2", TimeGrid.unit([4096]), 2024, (3, 1, 0)),
@@ -399,11 +481,11 @@ _PINNED = [
         id="fbm_brownian_cumsum_4096",
     ),
     pytest.param(
-        lambda: _off_lattice_fbm("7/10", TimeGrid([(1.03, 2.0)], [20]), 2024, (3, 1, 0)),
+        lambda: sample_fbm_1d("7/10", TimeGrid([(1.03, 2.0)], [20]), 2024, (3, 1, 0)),
         [0, 7, 19],
-        [-0.8679181870380859, -0.5100288113252927, -0.5433410543025377],
-        6.708786159413038,
-        id="fbm_dense_fallback_20",
+        [0.02064329549913163, 0.22318270449218336, -0.9513205251139575],
+        7.3081408275662945,
+        id="fbm_off_lattice_20",
     ),
 ]
 
@@ -418,7 +500,9 @@ def test_pinned_realizations(draw, idx, values, sumsq):
 # -- draw plan ----------------------------------------------------------
 
 # sha256 of the block shapes and bytes `_sheet_rows` yields at seed 2024,
-# key (3, 1, 0), recorded before the draw plan existed: the plan moves no bit
+# key (3, 1, 0), recorded before the draw plan existed: the plan moves no
+# bit.  The fractional 1-d case was recorded again when such grids moved to
+# increments and a start value.
 _BLOCK_DIGESTS = {
     "bm-2pt": ((("1/2",), [(1.0, 2.0)], [2]), {
         1: "4fe8c7505293977c1813c6db11bef9ade6cb69ab14ee0869f9e3cef720e56d0f",
@@ -440,9 +524,9 @@ _BLOCK_DIGESTS = {
         8: "53947032b28596d221dcc76b098ed63a94de7c8ddc6aa1d29fcc4293993dc64f",
     }),
     "davies-harte-3/10": ((("3/10",), [(1.0, 2.0)], [33]), {
-        1: "4e90b921d6c93584a5051bd514a12499c3b38663eeeea1772c7b8675b1aaab3c",
-        7: "c7f82a223bb28b2cd7bf0244d5c4e4faf478266c02ae14c8cfc49111731c355a",
-        33: "ad278e04192879e8bd5cd7c196ee65db1ed27846a901f860130ef64885f78fe7",
+        1: "414ca290f6e9542f14861ffacca514e676884481361ef295db195c1fbb141177",
+        7: "cefba35bdf6643062d3a48e0d2ed20703fecdd30775fe52047969ff5a5616427",
+        33: "54ac4f86bbb86c6d95ba5a884495c1ac40acb36f44879452ce4d365d345409fa",
     }),
     "dense-2/5-1/2": ((("2/5", "1/2"), [(1.0, 2.0)] * 2, [30, 20]), {
         1: "64ca13781abf258f7304817841c29520df51c8f373e4e342d133fac2bb26591c",
@@ -466,11 +550,11 @@ def test_sheet_row_blocks_pinned(case):
 @pytest.mark.parametrize(
     "hs, grid, error",
     [
-        (("3/10",), TimeGrid([(1.05, 2.0)], [5000]), FactorizationError),
+        (("3/10",), TimeGrid([(1.05, 2.0)], [16385]), FactorizationError),
         (("2/5", "1/2"), TimeGrid([(1.0, 2.0)] * 2, [5000, 8]), FactorizationError),
         (("1/2",), TimeGrid([(1.0, 1.0)], [1]), ValueError),
     ],
-    ids=["off-lattice", "dense-axis", "one-point"],
+    ids=["fbm-1d-cap", "dense-axis", "one-point"],
 )
 def test_refused_grid_is_refused_at_every_draw(hs, grid, error):
     # the plan cache keeps no refusal: each draw raises again
@@ -481,16 +565,16 @@ def test_refused_grid_is_refused_at_every_draw(hs, grid, error):
 
 def test_failed_circulant_embedding_is_refused(monkeypatch):
     # the embedding of fGn has no negative eigenvalue at any H tried; a
-    # negated spectrum stands in for one, uncached so no other test sees it
-    fft = np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda a: -fft(a))
-    monkeypatch.setattr(gfield, "_fgn_sqrt_eigs", gfield._fgn_sqrt_eigs.__wrapped__)
+    # negated spectrum stands in for one, with no plan cached so no other
+    # test sees it
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a: -rfft(a))
     monkeypatch.setattr(gfield, "_draw_plan", gfield._draw_plan.__wrapped__)
-    g = TimeGrid.unit([19])
+    g = TimeGrid([(1.03, 2.0)], [19])
     for _ in range(2):
         with pytest.raises(
             FactorizationError,
-            match=r"circulant embedding of H = 0\.3 on 19 points of \[1, 2\] has a negative",
+            match=r"circulant embedding of H = 0\.3 on 19 points of \[1\.03, 2\] has a negative",
         ):
             sample_fbm_1d("3/10", g, seed=0)
 
@@ -503,7 +587,7 @@ def test_failed_cholesky_is_refused(monkeypatch):
     monkeypatch.setattr(gfield, "_axis_factor", gfield._axis_factor.__wrapped__)
     monkeypatch.setattr(gfield, "_draw_plan", gfield._draw_plan.__wrapped__)
     for k, g, named in (
-        (spec("7/10"), TimeGrid([(1.03, 2.0)], [20]),
+        (spec("1/2", "7/10"), TimeGrid([(1.0, 2.0), (1.03, 2.0)], [3, 20]),
          r"H = 0\.7 covariance of 20 points on \[1\.03, 2\]"),
         (spec("1/2", "3/5"), TimeGrid([(1.0, 2.0), (0.5, 3.0)], [4, 6]),
          r"H = 0\.6 covariance of 6 points on \[0\.5, 3\]"),

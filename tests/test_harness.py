@@ -463,7 +463,7 @@ def test_cli_simulate_dump_field(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        # Davies-Harte on 8192 points, more than a dense factor takes
+        # a fractional 1-d grid of 8192 points, more than a dense factor takes
         _sized(hurst='["3/10"]', resolution="[8192]"),
         # two blocks of 256 rows
         _sized(resolution="[300, 64]"),
@@ -842,7 +842,7 @@ def _assert_refused(tmp_path, capsys, text, named):
     [
         # a dense axis: the entry draws, so the walk, hold the whole path
         (_sized(hurst='["2/5", "1/2"]', resolution="[4096, 8193]"), 4096 * 8193 * 4 * 8),
-        # a fractional 1-d grid: its Davies-Harte draw is whole
+        # a fractional 1-d grid: its draw is whole (and over its point cap)
         (_sized(hurst='["1/3"]', resolution="[33554433]", interval="[[0.5, 1.5]]"),
          33554433 * 4 * 8),
         # streamed by rows: one block of one row of 2^25 points
@@ -862,8 +862,8 @@ def test_matrix_path_over_the_memory_budget_is_refused(tmp_path, capsys, text, n
         _sized(kind="complex-eigen", shape="[3]", resolution="[8192, 8192]"),
         _sized(resolution="[8192, 4097]"),
         _sized(kind="real-singular", shape="[2, 3]", resolution="[8192, 4096]"),
-        # a 1-d Brownian motion streams by rows too: one block, on the
-        # lattice through 0 or off it (no dense fallback)
+        # a 1-d Brownian motion streams by rows too: one block, on a
+        # lattice through 0 or off it
         _sized(hurst='["1/2"]', resolution="[33554433]"),
         _sized(hurst='["1/2"]', resolution="[5000]", interval="[[1.05, 2.0]]"),
         # a dense axis: the whole path, exactly 2**30 bytes
@@ -881,42 +881,41 @@ def test_walk_within_the_memory_budget_is_accepted(text):
     [
         (_sized(hurst='["2/5", "1/2"]', resolution="[5000, 8]"),
          "axis 0 (H = 0.4) has 5000 points, too many for a dense per-axis factorization"),
-        (_sized(hurst='["1/3"]', resolution="[5000]", interval="[[1.05, 2.0]]"),
-         "a 1-d grid off the lattice through 0 takes the dense fallback, at most 4096 points, "
-         "got 5000"),
-        # a lattice through 0 of 4.1e9 points counts as none (its Davies-Harte
-        # draw would take 30 GiB), and 4097 points are too many for the dense
-        # fallback; parsing comes first, so no draw is attempted
-        (_sized(hurst='["1/3"]', resolution="[4097]", interval="[[1000000.0, 1000001.0]]"),
-         "a 1-d grid off the lattice through 0 takes the dense fallback, at most 4096 points, "
-         "got 4097"),
+        # one point cap for fractional 1-d grids, wherever they sit; parsing
+        # comes first, so no draw is attempted
+        (_sized(hurst='["1/3"]', resolution="[16385]", interval="[[1.05, 2.0]]"),
+         "a fractional 1-d grid (H = 0.333333) takes at most 16384 points, got 16385"),
+        (_sized(hurst='["1/3"]', resolution="[16385]", interval="[[1000000.0, 1000001.0]]"),
+         "a fractional 1-d grid (H = 0.333333) takes at most 16384 points, got 16385"),
         (_sized(shape="[65]", resolution="[2, 2]"), "spectra are supported for d <= 64"),
     ],
-    ids=["dense-axis", "off-lattice", "lattice-too-long", "d-65"],
+    ids=["dense-axis", "fbm-1d-cap-off-lattice", "fbm-1d-cap-far", "d-65"],
 )
 def test_sampler_and_spectra_limits_are_refused_at_validation(tmp_path, capsys, text, named):
     _assert_refused(tmp_path, capsys, text, named)
 
 
-def test_davies_harte_lattice_over_its_budget_is_refused_without_allocating():
-    # 4097 points on [8192, 8193] sit on a lattice through 0 of 33.5 M steps,
-    # about 2 GiB for one entry draw: validation refuses it, and allocates
-    # nothing on the way
-    text = _sized(hurst='["1/3"]', resolution="[4097]", interval="[[8192.0, 8193.0]]")
+def test_fractional_1d_grid_is_capped_by_its_points_without_allocating():
+    # 16385 points are refused however close to 0 they sit, and 4097 points
+    # are accepted however far from it; validation allocates nothing
+    # either way
+    refused = _sized(hurst='["1/3"]', resolution="[16385]", interval="[[1.0, 2.0]]")
+    accepted = _sized(hurst='["1/3"]', resolution="[4097]", interval="[[8192.0, 8193.0]]")
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError) as err:
-            parse_config(text)
+        with pytest.raises(ConfigError, match=r"takes at most 16384 points, got 16385"):
+            parse_config(refused)
+        parse_config(accepted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    nbytes = (8192 * 4096 + 4097) * 64
-    assert ("H = 0.333333: the Davies-Harte draw of its lattice through 0 would take "
-            "%d bytes, over the budget of %d bytes" % (nbytes, 2**30)) in str(err.value)
-    assert "at most 4096 points, got 4097" in str(err.value)
-    # 1025 points on [1024, 1025]: a lattice of 1.05 M steps, about 67 MB
-    parse_config(_sized(hurst='["1/3"]', resolution="[1025]", interval="[[1024.0, 1025.0]]"))
+
+
+@pytest.mark.parametrize("end", [".inf", ".nan"])
+def test_non_finite_interval_end_is_refused_at_validation(tmp_path, capsys, end):
+    text = _sized(hurst='["1/2"]', resolution="[8]", interval="[[1.0, %s]]" % end)
+    _assert_refused(tmp_path, capsys, text, "grid: interval end must be finite")
 
 
 def test_matrix_path_at_the_memory_budget_is_accepted():
