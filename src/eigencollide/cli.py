@@ -35,7 +35,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .estimate import _block_rows, box_dim, collision_prob
@@ -135,6 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    import yaml
+
     if args.config is None:
         raise ConfigError("this command needs --config")
     text = Path(args.config).read_text()

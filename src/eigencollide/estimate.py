@@ -81,7 +81,6 @@ word of its entries' stream keys, so a run takes at most 2**32 paths.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,6 +453,8 @@ def collision_prob(
     if threads == 1:
         results = [one(p) for p in range(n_paths)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(n_paths)))
     mins = np.array([gap for gap, _ in results])

@@ -25,6 +25,10 @@ requested (the `boxdim` command's call) and as one of the Monte Carlo
 estimate's paths.
 
 Rationals are rendered as exact "p/q" strings in all JSON output.
+
+PyYAML is imported by the first `parse_config` or `render_config` call
+and `traceback` by the first failed stage, so importing this module loads
+neither.
 """
 
 from __future__ import annotations
@@ -32,12 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .estimate import (
@@ -151,6 +153,8 @@ def _listed(value):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML config; reject unknown keys (strict mode)
     and report every violated invariant at once."""
+    import yaml
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as err:
@@ -301,6 +305,8 @@ def check_config(cfg: ExperimentConfig) -> None:
 
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical YAML form; parse(render(c)) == c."""
+    import yaml
+
     data = {}
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
@@ -372,6 +378,8 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRecord:
     counters: dict = {}
 
     def fail(stage: str, err: Exception) -> None:
+        import traceback
+
         warnings.append("%s failed: %s" % (stage, err))
         failures[stage] = {"type": type(err).__name__, "traceback": traceback.format_exc()}
 

@@ -1,7 +1,8 @@
 """Every exported name resolves, every name the demos and the README import
 from the package exists, every `eigencollide` command line of the README
 parses, every attribute the benchmark tracer wraps exists,
-every module-level import is read, exported or traced, and one smoke-size
+every module-level import is read, exported or traced, importing the
+package loads no module only some runs read, and one smoke-size
 pass of every benchmark workload runs, so that deleting or re-signing a name
 the benchmark uses fails here."""
 
@@ -12,6 +13,7 @@ import json
 import pkgutil
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -136,6 +138,26 @@ def test_module_imports_are_read_exported_or_traced():
             if name not in read | exported and (module, name) not in traced
         ]
     assert not unread
+
+
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, %r)
+import eigencollide, eigencollide.harness, eigencollide.estimate, eigencollide.sde, eigencollide.cli
+on_use = ("yaml", "concurrent.futures", "traceback")
+after_import = [m for m in on_use if m in sys.modules]
+eigencollide.harness.parse_config(open(%r).read())
+print(json.dumps({"after_import": after_import, "yaml_after_parse": "yaml" in sys.modules}))
+"""
+
+
+def test_import_leaves_yaml_thread_pool_and_traceback_to_first_use():
+    # a fresh interpreter, so that no other test has loaded them
+    code = _IMPORT_PROBE % (str(ROOT / "src"), str(ROOT / "configs" / "dyson_bm.yaml"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout)
+    assert loaded["after_import"] == []
+    assert loaded["yaml_after_parse"]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
