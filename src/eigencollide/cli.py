@@ -230,6 +230,7 @@ def _collide_prob(args) -> int:
         "eps=%-10g fraction=%-8.4f hits=%-6d wilson95=[%.4f, %.4f]" % (e, f, h, lo, hi)
         for e, f, h, (lo, hi) in zip(est.eps_ladder, est.fractions, est.hits, est.intervals)
     ]
+    lines.append("points solved: %d of %d grid points" % (est.points_solved, est.grid_points))
     if est.n_failed:
         lines.append("failed paths: %d of %d" % (est.n_failed, est.n_paths))
     _emit(est.to_json_dict(), args.json, "\n".join(lines))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from eigencollide.cli import _build_parser, cli
-from eigencollide.estimate import box_count_dimension, box_dim
+from eigencollide.estimate import box_count_dimension, box_dim, collision_prob
 from eigencollide.gfield import _sheet_rows
 from eigencollide.harness import (
     ConfigError,
@@ -509,6 +509,22 @@ def test_cli_collide_prob_overrides(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_paths"] == 120
     assert payload["eps_ladder"] == [1.0, 0.5]
+
+
+def test_cli_collide_prob_prints_points_solved(tmp_path, capsys):
+    # a 3x3 ensemble takes the pruned general route; the count stays out
+    # of --json
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(_sized(shape="[3]", resolution="[16, 16]"))
+    assert cli(["collide-prob", "--config", str(cfg_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cfg = parse_config(cfg_file.read_text())
+    est = collision_prob(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind,
+                         cfg.time_grid(), cfg.eps_ladder, cfg.paths, cfg.seed)
+    assert 0 < est.points_solved < est.grid_points == 150 * 256
+    assert lines[-1] == "points solved: %d of %d grid points" % (est.points_solved, 150 * 256)
+    assert cli(["collide-prob", "--config", str(cfg_file), "--json"]) == 0
+    assert "points_solved" not in capsys.readouterr().out
 
 
 def test_cli_collide_prob_names_failed_paths(tmp_path, capsys, monkeypatch):

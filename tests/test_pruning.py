@@ -1,10 +1,12 @@
 """Certified solve pruning of `collision_prob`'s general route.
 
-Given the eps ladder, a general-route path solves its anchors and then
-only the points whose certified gap bound does not clear the largest rung
-still open.  These tests pin that the pruned kernel gives the hit counts,
-failures and solved spectra of the unpruned one, solves few points, and
-holds one block at a time.
+Given the eps ladder, a general-route path solves its coarse anchors, then
+the other anchors, then, lowest bound first, the points whose certified
+gap bound does not clear the largest rung still open, and stops once no
+open rung is left that a point still unsolved could reach.  These tests
+pin that the pruned kernel gives the hit counts, failures and solved
+spectra of the unpruned one, solves few points, and holds one block at a
+time.
 """
 
 import dataclasses
@@ -212,10 +214,15 @@ def test_estimate_carries_solve_counts_outside_its_json():
         "eps_ladder", "hits", "fractions", "wilson_95", "n_paths", "n_failed", "seed"}
 
 
-def test_pruning_solves_under_30_percent_of_anisotropic_affine(monkeypatch):
-    # the benchmark's general-route config at its seed; a fallback to
-    # solving every point fails here, not only in the benchmark
-    cfg = parse_config((ROOT / "configs" / "anisotropic_affine.yaml").read_text())
+# the shares of grid points a pruned run solves are about 9.6% and 6.1%; a
+# walk with no coarse anchor stage that solves every candidate takes 16.7%
+# and 11.8%
+@pytest.mark.parametrize("name, share", [("anisotropic_affine", 0.12),
+                                         ("rect_sheet_singular", 0.08)])
+def test_pruning_solves_a_small_share_of_a_general_route_config(monkeypatch, name, share):
+    # the benchmark's general-route configs at their seeds; a fallback to
+    # solving more points fails here, not only in the benchmark
+    cfg = parse_config((ROOT / "configs" / (name + ".yaml")).read_text())
     solved = []
 
     def counting(values, kind):
@@ -230,7 +237,54 @@ def test_pruning_solves_under_30_percent_of_anisotropic_affine(monkeypatch):
     assert est.n_failed == 0
     assert sum(solved) == est.points_solved
     assert est.grid_points == grid_points
-    assert sum(solved) <= 0.3 * grid_points
+    assert sum(solved) <= share * grid_points
+
+
+def _one_block_case(monkeypatch):
+    """A one-block path, its exact gaps and a ladder of two rungs that
+    its anchors leave open and one candidate hits: the smaller rung lies
+    just above the exact min gap, the larger one halfway to the anchors'
+    min."""
+    grid = TimeGrid.unit([64, 64])
+    spec, pattern = _spec((3,), 1, HALF2, "st"), CollisionPattern((2,), 3)
+    args = (spec, pattern, SpectralKind.REAL_EIGEN, grid, 31)
+    _, _, _, exact = _spied_pass(monkeypatch, *args, 0, ())
+    gap, anchor_min = exact.min(), exact.reshape(grid.shape)[::3, ::3].min()
+    assert gap < anchor_min
+    return args, exact, ((gap + anchor_min) / 2, 1.01 * gap)
+
+
+def test_lowest_bound_stage_stops_with_candidates_left(monkeypatch):
+    args, exact, ladder = _one_block_case(monkeypatch)
+    grid = args[3]
+    (_, _, gap, n_solved), index, _, gaps = _spied_pass(monkeypatch, *args, 0, ladder)
+    assert gap <= ladder[1]
+    assert np.array_equal(_bits(gaps), _bits(exact[index]))
+    with monkeypatch.context() as patch:
+        patch.setattr(estimate, "_FIRST_BATCH", grid.n_points)  # every candidate at once
+        every = _path_pass(*args, 0, ladder)[3]
+    assert n_solved < every < grid.n_points
+    mins = [_path_pass(*args, p)[2] for p in range(100)]
+    one, two = (collision_prob(*args[:4], ladder, 100, args[4], threads=t) for t in (1, 2))
+    assert one == two
+    assert one.hits == tuple(sum(m <= e for m in mins) for e in ladder)
+    assert 0 < one.hits[1] < one.hits[0] < 100
+
+
+def test_nan_slack_solves_every_candidate(monkeypatch):
+    args, exact, ladder = _one_block_case(monkeypatch)
+    certificate = estimate._certificate
+
+    def nan_kappa(spec):
+        lift, _, shift_norm = certificate(spec)
+        return lift, math.nan, shift_norm
+
+    monkeypatch.setattr(estimate, "_certificate", nan_kappa)
+    (_, _, gap, n_solved), index, _, gaps = _spied_pass(monkeypatch, *args, 0, ladder)
+    # every bound is NaN, so no point is cleared, and a NaN-bound point
+    # is solved before any rung can close
+    assert n_solved == args[3].n_points and gap == exact.min()
+    assert np.array_equal(_bits(gaps), _bits(exact[index]))
 
 
 # -- failures ------------------------------------------------------------
@@ -253,7 +307,8 @@ def _nan_in_sheet_rows(point, path_index=0):
     return planted
 
 
-# every rung is hit by the first block's anchors, so no later point is solved
+# every rung is hit by the first block's coarse anchors, so no later point
+# is solved
 HIT_BY_ANCHORS = (1e9, 1e8)
 
 
@@ -261,9 +316,9 @@ def test_nan_at_a_pruned_point_fails_its_path(monkeypatch):
     grid = TimeGrid.unit([600, 64])  # blocks of 256 rows: (520, 7) is in the third
     spec, pattern = _spec((3,), 1, HALF2), CollisionPattern((2,), 3)
     kind = SpectralKind.REAL_EIGEN
-    # clean, the path solves only the first block's anchors
+    # clean, the path solves only the first block's coarse anchors
     _, index, _, _ = _spied_pass(monkeypatch, spec, pattern, kind, grid, 0, 0, HIT_BY_ANCHORS)
-    assert len(index) == math.ceil(256 / 3) * math.ceil(64 / 3)
+    assert len(index) == math.ceil(256 / 6) * math.ceil(64 / 6)
     assert 520 * 64 + 7 not in index
     monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((520, 7)))
     named = r"non-finite entries in 1 matrices \(grid coordinates \[\(520, 7\)\]\)"
@@ -273,14 +328,14 @@ def test_nan_at_a_pruned_point_fails_its_path(monkeypatch):
 
 
 def test_collision_prob_counts_nan_at_a_pruned_point_as_failed(monkeypatch):
-    # not an anchor: anchors are 0, 3 and 6
+    # not an anchor: anchors are 0, 3 and 6, the coarse ones 0 and 6
     monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((4,), 7))
     spec, pattern = _spec((3,), 1, ["1/2"]), CollisionPattern((2,), 3)
     est = collision_prob(spec, pattern, SpectralKind.REAL_EIGEN, TimeGrid.unit([8]),
                          HIT_BY_ANCHORS, 100, 3)
     assert est.n_failed == 1
     assert est.hits == (99, 99)
-    assert est.points_solved == 99 * 3 and est.grid_points == 99 * 8
+    assert est.points_solved == 99 * 2 and est.grid_points == 99 * 8
 
 
 @pytest.mark.parametrize("shape, routine", [((3,), "eigvalsh"), ((3, 4), "svd")])
