@@ -27,6 +27,7 @@ than a proof here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -226,8 +227,9 @@ def _check_sorted(values: np.ndarray) -> None:
 
 
 def _size_counts(pattern: CollisionPattern):
-    sizes, counts = np.unique(pattern.multiplicities, return_counts=True)
-    return tuple(int(s) for s in sizes), tuple(int(c) for c in counts)
+    """(ascending block sizes, how many blocks have each) of `pattern`."""
+    sizes, counts = zip(*sorted(Counter(pattern.multiplicities).items()))
+    return sizes, counts
 
 
 def _gap_table(spectra, pattern: CollisionPattern):

@@ -1,8 +1,10 @@
 """Estimator checks on synthetic sets and small Monte Carlo runs."""
 
+import functools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from eigencollide.estimate import (
     wilson_interval,
 )
 from eigencollide.gfield import KernelSpec, TimeGrid, _sheet_rows, sample_fbm_1d
-from eigencollide.harness import ExperimentConfig, simulate
+from eigencollide.harness import ExperimentConfig, parse_config, simulate
 from eigencollide.matfield import EnsembleSpec, _ensemble_rows, assemble_rect, sample_ensemble
 from eigencollide.spectra import NumericalError, pattern_gap_values, spectral_path
 from eigencollide.theory import CollisionPattern, HurstVector, SpectralKind, Verdict
@@ -318,6 +320,135 @@ def test_thread_count_cannot_matter_on_a_streamed_1d_grid(monkeypatch, shape, h,
     ]
     assert len(set(records)) == 1
     assert 0 < json.loads(records[0])["hits"][0] < 100
+
+
+# -- plane-route stop -----------------------------------------------------
+
+# blocks of 256 rows at rows 0, 256 and 512
+STOP_GRID = TimeGrid.unit([600, 64])
+STOP_SEED = 13
+
+
+@functools.lru_cache(maxsize=None)
+def _stop_case():
+    """(ladder, per-path minima of each block of the full walk) on
+    `STOP_GRID` over 100 paths: the smaller rung is the 31st smallest
+    path min, so about 30 paths settle, some of them in block 0."""
+    spec = ensemble(["1/2", "1/2"])
+    minima = np.array([
+        [block.min() for _, _, _, block, _ in
+         estimate._path_rows(spec, PAT2, RE, STOP_GRID, STOP_SEED, p)]
+        for p in range(100)
+    ])
+    mins = np.sort(minima.min(axis=1))
+    return (float(mins[70]), float(mins[30])), minima
+
+
+def _settled_in_block_0():
+    ladder, minima = _stop_case()
+    return int(np.flatnonzero(minima[:, 0] <= ladder[-1])[0])
+
+
+def _never_settled():
+    ladder, minima = _stop_case()
+    return int(np.flatnonzero(minima.min(axis=1) > ladder[-1])[0])
+
+
+def _counting_sheet_rows(drawn):
+    """A `matfield._sheet_rows` that appends (key, rows) of every block it
+    hands out to `drawn`."""
+
+    def counting(kernel, grid, seed, key, rows, plan=None):
+        for block in _sheet_rows(kernel, grid, seed, key, rows, plan=plan):
+            drawn.append((key, len(block)))
+            yield block
+
+    return counting
+
+
+def test_plane_stop_keeps_the_hits_of_the_full_walk():
+    ladder, minima = _stop_case()
+    assert (minima[:, 0] <= ladder[-1]).any()  # some paths settle in block 0
+    assert (minima.min(axis=1) > ladder[-1]).any()  # and some never do
+    spec = ensemble(["1/2", "1/2"])
+    a, b = (collision_prob(spec, PAT2, RE, STOP_GRID, ladder, 100, STOP_SEED, threads=t)
+            for t in (1, 2))
+    assert a == b
+    mins = [_joined_path(spec, RE, STOP_GRID, STOP_SEED, p)[2].min() for p in range(100)]
+    assert a.hits == tuple(int(sum(m <= e for m in mins)) for e in ladder)
+    assert a.n_failed == 0 and a.points_solved < a.grid_points
+
+
+def test_a_settled_plane_path_draws_no_later_block(monkeypatch):
+    ladder, _ = _stop_case()
+    spec = ensemble(["1/2", "1/2"])
+    drawn = []
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _counting_sheet_rows(drawn))
+    for p, blocks in ((_settled_in_block_0(), 1), (_never_settled(), 3)):
+        drawn.clear()
+        estimate._path_pass(spec, PAT2, RE, STOP_GRID, STOP_SEED, p, ladder)
+        keys = [key for key, _ in drawn]
+        assert sorted(set(keys)) == [(p, 0, 0), (p, 1, 0), (p, 3, 0)]
+        assert all(keys.count(key) == blocks for key in set(keys)), p
+
+
+def test_box_dim_and_simulate_walk_every_plane_block(monkeypatch):
+    # path 0 would settle in block 0 under the ladder; neither reader has one
+    ladder, minima = _stop_case()
+    assert minima[0, 0] <= ladder[-1]
+    cfg = ExperimentConfig(
+        kind="real-eigen", shape=(2,), pattern=(2,), hurst=("1/2", "1/2"),
+        resolution=STOP_GRID.shape, interval=STOP_GRID.intervals, seed=STOP_SEED,
+        eps_ladder=ladder,
+    )
+    drawn = []
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _counting_sheet_rows(drawn))
+    box_dim(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind, cfg.time_grid(),
+            STOP_SEED, [0.5, 0.25])
+    assert [n for key, n in drawn if key == (0, 0, 0)] == [256, 256, 88]
+    drawn.clear()
+    simulate(cfg)
+    assert [n for key, n in drawn if key == (0, 0, 0)] == [256, 256, 88]
+
+
+def test_plane_points_solved_are_the_points_drawn(monkeypatch):
+    ladder, _ = _stop_case()
+    drawn = []
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _counting_sheet_rows(drawn))
+    est = collision_prob(ensemble(["1/2", "1/2"]), PAT2, RE, STOP_GRID, ladder, 100, STOP_SEED)
+    rows = sum(n for (_, entry, part), n in drawn if (entry, part) == (0, 0))
+    assert est.points_solved == rows * STOP_GRID.shape[1] < est.grid_points
+
+
+def test_brownian_sheet_draws_part_of_its_grid():
+    cfg = parse_config((Path(__file__).resolve().parents[1] / "configs" /
+                        "brownian_sheet.yaml").read_text())
+    est = collision_prob(cfg.ensemble(), cfg.collision_pattern(), cfg.spectral_kind,
+                         cfg.time_grid(), cfg.eps_ladder, 100, cfg.seed)
+    assert est.grid_points == 100 * cfg.time_grid().n_points
+    assert est.n_failed == 0 and est.points_solved < est.grid_points
+
+
+def test_nan_after_the_settling_block_goes_unseen(monkeypatch):
+    # the documented limit: a settled path draws no later block, so a
+    # non-finite value there cannot fail it
+    ladder, _ = _stop_case()
+    spec, p = ensemble(["1/2", "1/2"]), _settled_in_block_0()
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((520, 7), p))
+    assert estimate._path_pass(spec, PAT2, RE, STOP_GRID, STOP_SEED, p, ladder)[2] <= ladder[-1]
+    with pytest.raises(NumericalError, match=r"grid coordinates \[\(520, 7\)\]"):
+        estimate._path_pass(spec, PAT2, RE, STOP_GRID, STOP_SEED, p)
+
+
+def test_nan_in_the_settling_block_fails_its_path(monkeypatch):
+    ladder, _ = _stop_case()
+    spec, p = ensemble(["1/2", "1/2"]), _settled_in_block_0()
+    monkeypatch.setattr("eigencollide.matfield._sheet_rows", _nan_in_sheet_rows((100, 7), p))
+    named = r"non-finite entries in 1 matrices \(grid coordinates \[\(100, 7\)\]\)"
+    with pytest.raises(NumericalError, match=named):
+        estimate._path_pass(spec, PAT2, RE, STOP_GRID, STOP_SEED, p, ladder)
+    est = collision_prob(spec, PAT2, RE, STOP_GRID, ladder, 100, STOP_SEED)
+    assert est.n_failed == 1
 
 
 def _box_count_reference(marked, grid, delta):
